@@ -28,6 +28,7 @@ from .design import (
     save_design,
 )
 from .iso import iso_classes
+from .numtheory import FactorizationError
 from .permgroup import CapExceededError, CycleFormatError, DEFAULT_CAP, GroupTable, set_stabilizer
 from .screen import FAMILIES, NonDivisibleError, ScreenError, case_screen, survivors
 from .search import CandidateExplosionError, SearchJob, full_sweep, run as run_search
@@ -122,7 +123,7 @@ def _cmd_screen(args: argparse.Namespace) -> int:
             out_dir,
             "screen",
             [],
-            {"family": args.family, "n": args.n, "q": args.q, "defaults": args.defaults},
+            {"family": args.family, "n": args.n, "q": args.q},
             [report_path],
             started,
         )
@@ -316,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_screen = sub.add_parser("screen", help="screen (family, n, q) parameter cases")
     p_screen.add_argument("--family", default="all")
-    p_screen.add_argument("--defaults", action="store_true", help="use the default ranges")
     p_screen.add_argument("--n", type=int, default=None)
     p_screen.add_argument("--q", type=int, default=None)
     p_screen.add_argument("--out", default=None, help="directory for the JSON report")
@@ -330,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--include-lambda-1", action="store_true", help="also search lambda = 1 (exploratory)"
     )
-    p_search.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                          help="worker bound (results are identical for any value)")
     p_search.add_argument("--out-dir", default=None)
     p_search.set_defaults(func=_cmd_search)
 
@@ -355,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapExceededError as exc:
+    except (CapExceededError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except CandidateExplosionError as exc:

@@ -15,6 +15,10 @@ _SMALL_PRIME_LIMIT = 1000
 _small_primes: list[int] = []
 
 
+class FactorizationError(ArithmeticError):
+    """A composite cofactor resisted every Pollard-Brent attempt allowed."""
+
+
 def _sieve_small() -> list[int]:
     if not _small_primes:
         sieve = bytearray([1]) * _SMALL_PRIME_LIMIT
@@ -86,11 +90,10 @@ def _pollard_brent(n: int, seed: int = 1) -> int:
 
 
 def factorize(n: int, effort: int = 8) -> dict[int, int]:
-    """Factor n > 0 into prime powers.
+    """Factor n > 0 into prime powers; every key is prime.
 
-    Composite cofactors that resist `effort` Pollard-Brent rounds are kept
-    as-is (their keys are composite); callers that print factorizations
-    tolerate that, and every product still multiplies back to n exactly.
+    Raises FactorizationError when a composite cofactor resists `effort`
+    Pollard-Brent rounds, rather than returning it as a key.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -121,9 +124,10 @@ def factorize(n: int, effort: int = 8) -> dict[int, int]:
             if d not in (1, m):
                 break
         if d in (1, m):
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            stack.extend((d, m // d))
+            raise FactorizationError(
+                f"composite cofactor {m} of {n} not split in {effort} Pollard-Brent rounds"
+            )
+        stack.extend((d, m // d))
     return factors
 
 
@@ -195,19 +199,12 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     ((p, f),) = fac.items()
-    if not is_prime(p):
-        raise ValueError(f"{q} is not a prime power")
     return p, f
 
 
 def prime_powers_up_to(limit: int) -> list[int]:
     """All prime powers p**f <= limit, ascending."""
-    out = []
-    for n in range(2, limit + 1):
-        fac = factorize(n)
-        if len(fac) == 1 and is_prime(next(iter(fac))):
-            out.append(n)
-    return out
+    return [n for n in range(2, limit + 1) if len(factorize(n)) == 1]
 
 
 def divisors(n: int) -> list[int]:

@@ -516,6 +516,19 @@ def _powers_of(T: np.ndarray, y: int) -> np.ndarray:
     return np.array(sorted(elems), dtype=np.int64)
 
 
+def _normalizing(
+    T: np.ndarray, inv: np.ndarray, in_H: np.ndarray, gens: tuple[int, ...], ys: np.ndarray
+) -> np.ndarray:
+    """The elements y of ys with y^-1 H y = H, where H = <gens> is marked by in_H.
+
+    One gather per generator: y^-1 <gens> y lies in H iff y^-1 g y does for
+    every generator g, and then equals H because conjugation keeps |H|.
+    """
+    for g in gens:
+        ys = ys[in_H[T[T[inv[ys], g], ys]]]
+    return ys
+
+
 def _closure_capped(
     T: np.ndarray, H: np.ndarray, gens: tuple[int, ...], y: int, cap: int
 ) -> np.ndarray | None:
@@ -557,7 +570,10 @@ def subgroups_of_order(
     at most two distinct prime factors every group of order dividing m is
     solvable, so each extension step may be restricted to normalizing
     elements (every such subgroup tops a chain of prime-index normal
-    subgroups); otherwise the unrestricted capped closure is used.
+    subgroups); otherwise the unrestricted capped closure is used.  On that
+    solvable route the candidates are first cut down to N_G(H) with one
+    vectorized gather per stored generator of H (`_normalizing`), and each
+    surviving coset H*y is tried once, by its smallest cyclic generator.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -618,6 +634,9 @@ def subgroups_of_order(
         in_H = np.zeros(G.order, dtype=bool)
         in_H[H] = True
         ys = cyc_reps[~in_H[cyc_reps]]
+        if solvable_route:
+            # N_G(H) is a union of cosets H*y, so this drops whole cosets
+            ys = _normalizing(T, inv, in_H, gens, ys)
         if ys.size == 0:
             continue
         # one extension attempt per coset H*y: dedupe candidates by coset
@@ -626,9 +645,6 @@ def subgroups_of_order(
         _, first = np.unique(cosets.T, axis=0, return_index=True)
         for y in sorted(int(ys[c]) for c in first):
             if solvable_route:
-                conj = np.sort(T[T[inv[y], H], y])
-                if not np.array_equal(conj, H):
-                    continue
                 prod = T[np.ix_(H, cyc_elements[y])].ravel()
                 K = np.unique(prod)
                 if m % len(K) == 0:

@@ -30,6 +30,7 @@ from .numtheory import (
     factorization_string,
     factorize,
     is_perfect_square,
+    is_prime,
     p_prime_part,
     parse_factorization,
     prime_power_decomposition,
@@ -196,7 +197,7 @@ def _validate_case(c: CaseSpec) -> None:
         i, theta = c.get("i"), c.get("theta")
         if not (i and theta and i * theta == n):
             raise ScreenError("C3 needs n = i*theta")
-        if len(factorize(theta)) != 1 or factorize(theta).get(theta) != 1:
+        if not is_prime(theta):
             raise ScreenError("C3 needs theta prime")
     elif fam == "C4":
         i = c.get("i")
@@ -206,13 +207,13 @@ def _validate_case(c: CaseSpec) -> None:
         q0, u = c.get("q0"), c.get("u")
         if not (q0 and u and q0**u == q):
             raise ScreenError("C5 needs q = q0^u")
-        if factorize(u).get(u) != 1:
+        if not is_prime(u):
             raise ScreenError("C5 needs prime index u")
     elif fam == "C6":
         i, omega = c.get("i"), c.get("omega")
         if not (i and omega and omega**i == n):
             raise ScreenError("C6 needs n = omega^i")
-        if factorize(omega).get(omega) != 1:
+        if not is_prime(omega):
             raise ScreenError("C6 needs omega prime")
     elif fam == "C7":
         i, ell = c.get("i"), c.get("ell")
@@ -1006,7 +1007,7 @@ def _adhoc_cases(family: str, n: int, q: int) -> list[CaseSpec]:
         out = [
             _case("C3", n, q, i=n // t, theta=t)
             for t in divisors_of(n)
-            if t > 1 and len(factorize(t)) == 1 and factorize(t).get(t) == 1
+            if is_prime(t)
         ]
     elif family == "C5":
         p, f = prime_power_decomposition(q)

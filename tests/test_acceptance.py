@@ -78,7 +78,7 @@ def test_criterion_2_order_18_subgroup_classes():
     )
     assert signatures.count(((18, 8),)) == 4
     assert signatures.count(((6, 3), (18, 7))) == 1
-    assert elapsed < 120.0
+    assert elapsed < 5.0  # a per-element normalizer test took ~15 s on 2 vCPUs
     print(
         f"\nACCEPTANCE 2 PASS: 5 classes of order-18 subgroups, signatures 18^8 x4 "
         f"and 6^3 18^7 x1 ({elapsed:.1f}s)"
@@ -182,6 +182,14 @@ def test_criterion_5_screen_survivors():
     elapsed = time.time() - t0
     got = sorted((r.case.n, r.case.q.q, r.v, r.candidate_k) for r in surv)
     assert got == [(3, 3, 144, 12), (4, 7, 400, 20), (5, 3, 121, 11)]
+    # every base printed in a factorization is prime ("0" and "1" have none)
+    for r in reports:
+        if r.v_factorization is None:
+            continue
+        for part in r.v_factorization.split("/"):
+            for term in part.split("·"):
+                base = int(term.partition("^")[0])
+                assert base in (0, 1) or nt.is_prime(base), (r.case.label(), term)
     assert elapsed < 60.0
     print(
         f"\nACCEPTANCE 5 PASS: survivors exactly (3,3,144,12), (4,7,400,20), "

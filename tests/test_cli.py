@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from designforge import cli, data_path
+from designforge import numtheory as nt
 from designforge import permgroup as pg
 
 
@@ -34,6 +35,14 @@ def test_screen_failing_case(capsys):
 def test_screen_unknown_family():
     rc = cli.main(["screen", "--family", "Z9"])
     assert rc == cli.EXIT_PRECONDITION
+
+
+def test_screen_factorization_effort_exhausted(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise nt.FactorizationError("composite cofactor not split")
+
+    monkeypatch.setattr(cli, "case_screen", exhausted)
+    assert cli.main(["screen", "--family", "C3"]) == cli.EXIT_CAP
 
 
 def test_screen_writes_report(tmp_path, capsys):

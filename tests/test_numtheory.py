@@ -23,6 +23,14 @@ def test_factorize_roundtrip():
         assert prod == n
 
 
+def test_factorize_raises_when_effort_runs_out():
+    n = 1000003 * 1000033
+    with pytest.raises(nt.FactorizationError):
+        nt.factorize(n, effort=0)
+    assert issubclass(nt.FactorizationError, ArithmeticError)
+    assert nt.factorize(n) == {1000003: 1, 1000033: 1}
+
+
 def test_factorization_string():
     assert nt.factorization_string(144) == "2^4·3^2"
     assert nt.factorization_string(1) == "1"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from designforge import data_path
@@ -109,6 +110,16 @@ def test_psl33_order(psl33):
 def test_pgl33_order(pgl33):
     assert pgl33.order == 11232
     assert pgl33.is_transitive()
+
+
+def test_shipped_labellings_differ(psl33, pgl33):
+    # the two generator files label the 144 points differently, so their
+    # element tables share the identity row only; a relabelling of either
+    # file that makes PSL(3,3) a subgroup of the extension must update this
+    psl_rows = {row.tobytes() for row in psl33.images_array()}
+    shared = [row for row in pgl33.images_array() if row.tobytes() in psl_rows]
+    assert len(shared) == 1
+    assert (shared[0] == np.arange(144)).all()
 
 
 def test_index_arithmetic(sym4):
@@ -271,6 +282,52 @@ def test_psl33_order3_classes_against_cyclic_oracle(psl33):
         assigned |= cls
         classes.append(cls)
     assert len(found) == len(classes)
+
+
+def _small_generating_set(T, H: tuple[int, ...]) -> tuple[int, ...]:
+    """Greedy generators of the subgroup H: add an element until they close to H."""
+    gens: list[int] = []
+    span = {0}
+    for x in H:
+        if x in span:
+            continue
+        gens.append(x)
+        while True:
+            new = {int(T[a, g]) for a in span for g in gens} - span
+            if not new:
+                break
+            span |= new
+    assert span == set(H)
+    return tuple(gens)
+
+
+def _normalizer_by_definition(G: pg.GroupTable, H: tuple[int, ...]) -> list[int]:
+    T = G.mul_table()
+    inv = G.inverse_indices()
+    arr = np.array(H, dtype=np.int64)
+    g = np.arange(G.order, dtype=np.int64)[:, None]
+    conj = np.sort(T[T[inv[g], arr[None, :]], g], axis=1)  # row g: sorted g^-1 H g
+    return [int(x) for x in np.flatnonzero((conj == arr[None, :]).all(axis=1))]
+
+
+@pytest.mark.parametrize(
+    "group, orders",
+    [("sym4", (1, 2, 3, 4, 6, 8, 12, 24)), ("psl33", (6, 18))],
+)
+def test_normalizing_matches_definition(request, group, orders):
+    G = request.getfixturevalue(group)
+    T = G.mul_table()
+    inv = G.inverse_indices()
+    everything = np.arange(G.order, dtype=np.int64)
+    for m in orders:
+        classes = pg.subgroups_of_order(G, m)
+        assert classes
+        for sub in classes:
+            in_H = np.zeros(G.order, dtype=bool)
+            in_H[list(sub.indices)] = True
+            gens = _small_generating_set(T, sub.indices)
+            got = pg._normalizing(T, inv, in_H, gens, everything)
+            assert [int(x) for x in got] == _normalizer_by_definition(G, sub.indices)
 
 
 def test_lagrange_on_enumerated_subgroups(psl33):
