@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .permgroup import GroupTable, set_stabilizer
+from .permgroup import GroupTable, set_orbit, set_stabilizer
 
 # t-subset enumeration guard: general t only at desk scale
 _GENERAL_T_MAX_V = 40
@@ -56,9 +56,6 @@ class Design:
             inc[rows, cols] = 1
             self._incidence = inc
         return self._incidence
-
-    def block_array(self) -> np.ndarray:
-        return np.array(self.blocks, dtype=np.int64)
 
     def relabel(self, pi: Sequence[int]) -> Design:
         """Apply a point bijection; the result is re-canonicalized."""
@@ -132,20 +129,7 @@ def from_base_block(G: GroupTable, base: Iterable[int]) -> Design:
         raise ValueError("base block must be nonempty")
     if blk[0] < 0 or blk[-1] >= G.degree:
         raise ValueError("base block point out of range")
-    gen_rows = [np.asarray(g.images, dtype=np.int64) for g in G.generators]
-    seen = {blk}
-    frontier = [blk]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            arr = np.array(cur, dtype=np.int64)
-            for row in gen_rows:
-                img = tuple(int(x) for x in np.sort(row[arr]))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return Design(G.degree, seen)
+    return Design(G.degree, set_orbit(G.images_array(), blk).tolist())
 
 
 def lambda_of(D: Design, t: int) -> int | None:
@@ -200,19 +184,7 @@ def is_flag_transitive(G: GroupTable, D: Design) -> bool:
     """
     blk = D.blocks[0]
     stab = set_stabilizer(G, blk)
-    rows = [G.images_array()[i] for i in stab.indices]
-    seen = {blk[0]}
-    frontier = [blk[0]]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            for row in rows:
-                q = int(row[pt])
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen == set(blk)
+    return set_orbit(stab.images_array(), blk[:1])[:, 0].tolist() == list(blk)
 
 
 # ---------------------------------------------------------------------------

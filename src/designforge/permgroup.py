@@ -67,18 +67,6 @@ class Permutation:
             inv[j] = i
         return Permutation(tuple(inv))
 
-    def __pow__(self, n: int) -> Permutation:
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def order(self) -> int:
         return math.lcm(1, *(len(c) for c in self.cycles()))
 
@@ -217,7 +205,6 @@ class GroupTable:
         self._mul_table: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
-        self._elements: list[Permutation] | None = None
 
     # -- construction
 
@@ -272,11 +259,6 @@ class GroupTable:
 
     def element(self, i: int) -> Permutation:
         return Permutation(tuple(int(x) for x in self._imgs[i]))
-
-    def elements(self) -> list[Permutation]:
-        if self._elements is None:
-            self._elements = [self.element(i) for i in range(self.order)]
-        return self._elements
 
     def index_of(self, p: Permutation) -> int:
         key = np.asarray(p.images, dtype=self._imgs.dtype).tobytes()
@@ -390,9 +372,6 @@ class GroupTable:
         return f"GroupTable(degree={self.degree}, order={self.order})"
 
 
-generate = GroupTable.generate
-
-
 # ---------------------------------------------------------------------------
 # subgroups
 
@@ -413,14 +392,8 @@ class Subgroup:
             raise ValueError("order does not divide the parent order")
 
     @classmethod
-    def from_indices(
-        cls, parent: GroupTable, indices: Iterable[int], verify: bool = False
-    ) -> Subgroup:
-        ids = tuple(sorted({int(i) for i in indices}))
-        sub = cls(parent, ids)
-        if verify and not sub.is_closed():
-            raise ValueError("element set is not closed under composition")
-        return sub
+    def from_indices(cls, parent: GroupTable, indices: Iterable[int]) -> Subgroup:
+        return cls(parent, tuple(sorted({int(i) for i in indices})))
 
     @property
     def order(self) -> int:
@@ -430,8 +403,9 @@ class Subgroup:
         ids = set(self.indices)
         return all(self.parent.mul(a, b) in ids for a in self.indices for b in self.indices)
 
-    def elements(self) -> list[Permutation]:
-        return [self.parent.element(i) for i in self.indices]
+    def images_array(self) -> np.ndarray:
+        """(order, degree) array of the image rows of the elements, in index order."""
+        return self.parent.images_array()[np.array(self.indices, dtype=np.int64)]
 
     def __contains__(self, p: Permutation) -> bool:
         try:
@@ -447,37 +421,32 @@ def trivial_subgroup(G: GroupTable) -> Subgroup:
     return Subgroup(G, (G.identity_index,))
 
 
-def whole_group(G: GroupTable) -> Subgroup:
-    return Subgroup(G, tuple(range(G.order)))
+def set_orbit(rows: np.ndarray, points: Sequence[int]) -> np.ndarray:
+    """The distinct images of a point set, as a sorted (n, len(points)) array.
+
+    `rows` must hold every element of the group (a GroupTable's or a
+    Subgroup's `images_array()`), not only its generators: the orbit is read
+    off in one gather with no closure.  Each row of the result is one image
+    set in ascending order; the rows are in lexicographic order.
+    """
+    imgs = np.sort(rows[:, np.asarray(points, dtype=np.int64)], axis=1)
+    imgs = imgs[np.lexsort(imgs.T[::-1])]
+    fresh = np.ones(len(imgs), dtype=bool)
+    fresh[1:] = (imgs[1:] != imgs[:-1]).any(axis=1)
+    return imgs[fresh]
 
 
 def orbits(H: Subgroup | GroupTable) -> list[tuple[int, ...]]:
     """Point orbits, each sorted, the list sorted by (length, smallest point)."""
-    if isinstance(H, GroupTable):
-        degree = H.degree
-        rows = [np.asarray(g.images) for g in H.generators]
-    else:
-        degree = H.parent.degree
-        rows = [H.parent.images_array()[i] for i in H.indices]
-    seen = np.zeros(degree, dtype=bool)
+    rows = H.images_array()
+    seen = np.zeros(rows.shape[1], dtype=bool)
     out = []
-    for start in range(degree):
+    for start in range(rows.shape[1]):
         if seen[start]:
             continue
-        orbit = {start}
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                for row in rows:
-                    q = int(row[pt])
-                    if not seen[q]:
-                        seen[q] = True
-                        orbit.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        out.append(tuple(sorted(orbit)))
+        orbit = set_orbit(rows, (start,))[:, 0]
+        seen[orbit] = True
+        out.append(tuple(orbit.tolist()))
     out.sort(key=lambda orb: (len(orb), orb[0]))
     return out
 

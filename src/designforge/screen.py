@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .numtheory import (
+    divisors,
     factorization_string,
     factorize,
     is_perfect_square,
@@ -651,7 +652,7 @@ def build_report(
         v_fraction=v_fraction_str,
         v_factorization=factorization_string(v) if v is not None else v_fraction_str,
         square_ok=square,
-        candidate_k=cand_k if survived else (cand_k if square == PASS else None),
+        candidate_k=cand_k,
         subdegrees=tuple((d.value, d.label) for d in subs),
         divisibility_ok=div,
         bound_ok=bound,
@@ -1002,11 +1003,11 @@ def _adhoc_cases(family: str, n: int, q: int) -> list[CaseSpec]:
             for kind in ("contained", "complement")
         ]
     elif family == "C2":
-        out = [_case("C2", n, q, a=n // e, e=e) for e in divisors_of(n) if e < n]
+        out = [_case("C2", n, q, a=n // e, e=e) for e in divisors(n) if e < n]
     elif family == "C3":
         out = [
             _case("C3", n, q, i=n // t, theta=t)
-            for t in divisors_of(n)
+            for t in divisors(n)
             if is_prime(t)
         ]
     elif family == "C5":
@@ -1035,12 +1036,6 @@ def _adhoc_cases(family: str, n: int, q: int) -> list[CaseSpec]:
         if f % 2 == 0:
             out = [_case("C8u", n, q, q0=p ** (f // 2))]
     return out
-
-
-def divisors_of(n: int) -> list[int]:
-    from .numtheory import divisors
-
-    return divisors(n)
 
 
 def survivors(reports: Sequence[ScreenReport]) -> list[ScreenReport]:

@@ -12,9 +12,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .design import Design, from_base_block, is_flag_transitive, lambda_of
+from .design import Design, is_flag_transitive, lambda_of
 from .iso import class_representatives, iso_classes
-from .permgroup import GroupTable, Subgroup, orbits, set_stabilizer, subgroups_of_order
+from .permgroup import GroupTable, Subgroup, orbits, set_orbit, set_stabilizer, subgroups_of_order
 
 MAX_CANDIDATES = 1_000_000
 _CHUNK = 65536
@@ -69,36 +69,6 @@ class SearchResult:
     distinct_block_sets: int
     candidates_tested: int
     note: str | None = None
-
-
-def orbit_union_blocks(H: Subgroup, k: int, max_candidates: int | None = None) -> list[tuple[int, ...]]:
-    """All point sets of size k that are unions of H-orbits.
-
-    Complete, duplicate-free, deterministic: orbit subsets are enumerated by
-    (orbit-length multiplicity pattern, then lexicographic choice of orbits).
-    """
-    count, patterns, by_len = _orbit_union_plan(H, k)
-    if max_candidates is not None and count > max_candidates:
-        raise CandidateExplosionError(
-            f"{count} orbit-union candidates exceed the {max_candidates} guard"
-        )
-    out: list[tuple[int, ...]] = []
-    for pattern in patterns:
-        chosen_groups = [combinations(by_len[ln], c) for ln, c in pattern]
-        out.extend(
-            tuple(sorted(p for orb_group in pick for orb in orb_group for p in orb))
-            for pick in _product(chosen_groups)
-        )
-    return out
-
-
-def _product(iterables):
-    if not iterables:
-        yield ()
-        return
-    from itertools import product
-
-    yield from product(*iterables)
 
 
 def _orbit_union_plan(H: Subgroup, k: int):
@@ -162,31 +132,16 @@ def _pair_orbit_table(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     if cached is not None:
         return cached
     v = G.degree
+    rows = G.images_array()
     labels = np.full((v, v), -1, dtype=np.int32)
-    rows = [np.asarray(g.images, dtype=np.int64) for g in G.generators]
     sizes = []
-    nxt_label = 0
     for p in range(v):
         for q in range(p + 1, v):
             if labels[p, q] >= 0:
                 continue
-            frontier = [(p, q)]
-            labels[p, q] = labels[q, p] = nxt_label
-            size = 1
-            while frontier:
-                new = []
-                for a, b in frontier:
-                    for row in rows:
-                        x, y = int(row[a]), int(row[b])
-                        if x > y:
-                            x, y = y, x
-                        if labels[x, y] < 0:
-                            labels[x, y] = labels[y, x] = nxt_label
-                            size += 1
-                            new.append((x, y))
-                frontier = new
-            sizes.append(size)
-            nxt_label += 1
+            orbit = set_orbit(rows, (p, q))
+            labels[orbit[:, 0], orbit[:, 1]] = labels[orbit[:, 1], orbit[:, 0]] = len(sizes)
+            sizes.append(len(orbit))
     out = (labels, np.array(sizes, dtype=np.int64))
     G._pair_orbit_cache = out
     return out
@@ -210,27 +165,6 @@ def _proportionality_filter(
     return ok
 
 
-def _block_orbit(G: GroupTable, base: tuple[int, ...], cap: int) -> set[tuple[int, ...]] | None:
-    """Orbit of a point set under G as a set of sorted tuples; None if > cap."""
-    gen_rows = [np.asarray(g.images, dtype=np.int64) for g in G.generators]
-    seen = {base}
-    frontier = [np.array(base, dtype=np.int64)]
-    while frontier:
-        nxt = []
-        for arr in frontier:
-            for row in gen_rows:
-                img = row[arr]
-                img.sort()
-                key = tuple(int(x) for x in img)
-                if key not in seen:
-                    seen.add(key)
-                    if len(seen) > cap:
-                        return None
-                    nxt.append(img)
-        frontier = nxt
-    return seen
-
-
 def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
     """Enumerate all block-transitive 2-(k^2,k,lambda) designs for the job.
 
@@ -245,6 +179,7 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
     if m is None:
         return SearchResult(job, [], [], 0, 0, 0, note="inadmissible block count")
     labels, sizes = _pair_orbit_table(G)
+    rows = G.images_array()
     classes = subgroups_of_order(G, m, size_bound=max(m, 256))
     found: dict[tuple[tuple[int, ...], ...], Design] = {}
     member_blocks: set[tuple[int, ...]] = set()
@@ -263,12 +198,12 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
                 base = tuple(int(x) for x in row)
                 if base in member_blocks:
                     continue
-                orbit = _block_orbit(G, base, cap=job.b)
-                if orbit is None or len(orbit) != job.b:
+                orbit = set_orbit(rows, base)
+                if len(orbit) != job.b:
                     continue
                 if set_stabilizer(G, base).order != m:
                     continue
-                D = Design(G.degree, orbit)
+                D = Design(G.degree, orbit.tolist())
                 if lambda_of(D, 2) != job.lam:
                     continue
                 if D.blocks not in found:

@@ -150,6 +150,19 @@ def test_orbits_identity_subgroup(psl33):
     assert all(len(o) == 1 for o in singletons)
 
 
+def test_set_orbit_matches_definition(psl33, pgl33):
+    # the orbit as a plain set of sorted image tuples over every element
+    rng = random.Random(7)
+    for G in (psl33, pgl33):
+        sub = pg.subgroups_of_order(G, 3)[0]
+        for rows in (G.images_array(), sub.images_array()):
+            for size in (1, 2, 12):
+                pts = rng.sample(range(G.degree), size)
+                got = [tuple(img) for img in pg.set_orbit(rows, pts).tolist()]
+                want = {tuple(sorted(row[p] for p in pts)) for row in rows.tolist()}
+                assert got == sorted(want)
+
+
 def test_orbit_lengths_divide_order(psl33):
     for m in (3, 6):
         for sub in pg.subgroups_of_order(psl33, m):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from designforge import design as dz
@@ -36,9 +37,14 @@ def test_job_inadmissible_b(psl33):
 # orbit unions
 
 
+def _candidates(H, k):
+    """The candidate point sets `_candidate_chunks` yields, concatenated, as tuples."""
+    return [tuple(row) for chunk in sr._candidate_chunks(H, k) for row in chunk.tolist()]
+
+
 def test_orbit_union_trivial_subgroup(sym4):
     triv = pg.trivial_subgroup(sym4)
-    cands = sr.orbit_union_blocks(triv, 2)
+    cands = _candidates(triv, 2)
     assert len(cands) == 6
     assert cands == sorted(set(cands))
 
@@ -47,22 +53,47 @@ def test_orbit_union_no_combination(psl33):
     # an order-18 class with all orbits of length 18 cannot reach k = 12
     subs = pg.subgroups_of_order(psl33, 18)
     all18 = next(s for s in subs if all(len(o) == 18 for o in pg.orbits(s)))
-    assert sr.orbit_union_blocks(all18, 12) == []
+    assert _candidates(all18, 12) == []
 
 
 def test_orbit_union_pairs_of_six_orbits(psl33):
     subs = pg.subgroups_of_order(psl33, 18)
     mixed = next(s for s in subs if any(len(o) == 6 for o in pg.orbits(s)))
-    cands = sr.orbit_union_blocks(mixed, 12)
+    cands = _candidates(mixed, 12)
     assert len(cands) == 3  # choose 2 of the 3 orbits of length 6
     for cand in cands:
         assert len(cand) == 12
 
 
 def test_orbit_union_explosion_guard(sym4):
-    triv = pg.trivial_subgroup(sym4)
+    # b = 24 = |S4| forces the trivial stabilizer: C(4, 2) = 6 candidates > 3
     with pytest.raises(sr.CandidateExplosionError):
-        sr.orbit_union_blocks(triv, 2, max_candidates=3)
+        sr.run(sr.SearchJob(sym4, 2, 4), max_candidates=3)
+
+
+# ---------------------------------------------------------------------------
+# pair orbits
+
+
+@pytest.mark.parametrize("name", ["psl33", "pgl33"])
+def test_pair_orbit_table(name, request):
+    G = request.getfixturevalue(name)
+    labels, sizes = sr._pair_orbit_table(G)
+    v = G.degree
+    assert (labels == labels.T).all()
+    assert (labels[~np.eye(v, dtype=bool)] >= 0).all()
+    for g in G.generators:
+        row = np.asarray(g.images)
+        assert (labels[np.ix_(row, row)] == labels).all()
+    upper = labels[np.triu_indices(v, k=1)]
+    assert np.bincount(upper, minlength=len(sizes)).tolist() == sizes.tolist()
+    assert int(sizes.sum()) == v * (v - 1) // 2
+    imgs = G.images_array()
+    for lab, size in enumerate(sizes.tolist()):
+        p, q = (int(x) for x in np.argwhere(np.triu(labels == lab, k=1))[0])
+        orbit = {tuple(sorted(pair)) for pair in zip(imgs[:, p].tolist(), imgs[:, q].tolist())}
+        assert len(orbit) == size
+        assert all(labels[a, b] == lab for a, b in orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +170,7 @@ def test_candidates_invariant_under_subgroup_conjugation(psl33):
     conj = tuple(sorted(int(T[int(T[inv[g], x]), g]) for x in mixed.indices))
     conj_sub = pg.Subgroup(psl33, conj)
     row = psl33.images_array()[g]
-    cands = sr.orbit_union_blocks(mixed, 12)
-    conj_cands = sr.orbit_union_blocks(conj_sub, 12)
+    cands = _candidates(mixed, 12)
+    conj_cands = _candidates(conj_sub, 12)
     relabeled = sorted(tuple(sorted(int(row[p]) for p in cand)) for cand in cands)
     assert relabeled == sorted(conj_cands)
