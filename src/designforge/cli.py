@@ -18,8 +18,6 @@ from pathlib import Path
 
 from . import __version__
 from .design import (
-    Design,
-    design_to_dict,
     from_base_block,
     is_block_transitive,
     is_flag_transitive,
@@ -77,10 +75,6 @@ def _write_manifest(
         "wall_time_s": round(time.time() - started, 3),
     }
     _dump_json(out_dir / "manifest.json", manifest)
-
-
-def _load_group(path: str, cap: int) -> GroupTable:
-    return GroupTable.from_file(path, cap=cap)
 
 
 def _parse_points(text: str) -> list[int]:
@@ -143,7 +137,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     started = time.time()
     cap = _cap_from_env()
     gens_path = Path(args.gens)
-    group = _load_group(args.gens, cap)
+    group = GroupTable.from_file(args.gens, cap=cap)
     k = args.k
     if group.degree != k * k:
         print(f"error: group degree {group.degree} != k^2 = {k*k}", file=sys.stderr)
@@ -153,6 +147,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     else:
         if args.lam is None:
             print("error: provide --lambda or --all", file=sys.stderr)
+            return EXIT_PRECONDITION
+        if args.lam < 1:
+            print(f"error: lambda = {args.lam} must be positive", file=sys.stderr)
             return EXIT_PRECONDITION
         if k % args.lam:
             print(f"error: lambda = {args.lam} does not divide k = {k}", file=sys.stderr)
@@ -216,7 +213,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.time()
     cap = _cap_from_env()
     gens_path = Path(args.gens)
-    group = _load_group(args.gens, cap)
+    group = GroupTable.from_file(args.gens, cap=cap)
     if args.design:
         design, meta = load_design(args.design)
         source = f"design file {args.design}"
@@ -234,9 +231,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     block_trans = is_block_transitive(group, design)
     flag_trans = is_flag_transitive(group, design) if block_trans else False
     t = args.t
-    lam_t = lams.get(t, None)
-    if lam_t is None and t not in lams:
-        lam_t = lambda_of(design, t)
+    lam_t = lams[t] if t in lams else lambda_of(design, t)
     report = {
         "source": source,
         "v": design.v,
@@ -261,7 +256,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         out_dir = Path(args.out)
         report_path = out_dir / "verify_report.json"
-        _dump_json(out_dir / "verify_report.json", report)
+        _dump_json(report_path, report)
         inputs = [gens_path] + ([Path(args.design)] if args.design else [])
         _write_manifest(
             out_dir,
@@ -353,10 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceededError, FactorizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except CandidateExplosionError as exc:
+    except (CapExceededError, FactorizationError, CandidateExplosionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except NonDivisibleError as exc:

@@ -1,8 +1,9 @@
 """Incidence structures: t-design verification, replication arithmetic,
 block/flag transitivity, and admissibility of t >= 3 under block-transitivity.
 
-All arithmetic is exact (integers and fractions); blocks are canonically
-sorted so design equality is plain structural equality.
+All arithmetic is exact (integers and fractions).  A design stores its blocks
+as one read-only (b, k) int64 array in the canonical `sorted_rows` order, so
+design equality is array equality.
 """
 
 from __future__ import annotations
@@ -17,59 +18,70 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .permgroup import GroupTable, set_orbit, set_stabilizer
+from .permgroup import GroupTable, set_orbit, set_stabilizer, sorted_rows
 
 # t-subset enumeration guard: general t only at desk scale
 _GENERAL_T_MAX_V = 40
 
 
 class Design:
-    """A set of k-subsets (blocks) of {0, ..., v-1}, canonically sorted."""
+    """A set of k-subsets (blocks) of {0, ..., v-1}: `array` is the read-only
+    (b, k) int64 block array in `sorted_rows` order, `blocks` its tuples."""
 
-    __slots__ = ("v", "k", "blocks", "_incidence")
+    __slots__ = ("v", "k", "array", "_blocks", "_incidence")
 
     def __init__(self, v: int, blocks: Iterable[Iterable[int]]):
-        normalized = sorted({tuple(sorted(int(p) for p in blk)) for blk in blocks})
-        if not normalized:
+        rows = blocks if isinstance(blocks, np.ndarray) else [list(blk) for blk in blocks]
+        try:
+            arr = np.array(rows, dtype=np.int64)
+        except ValueError:  # ragged rows
+            raise ValueError("blocks must all have the same number of distinct points") from None
+        if arr.ndim != 2 or arr.size == 0:
             raise ValueError("a design needs at least one block")
-        k = len(normalized[0])
-        for blk in normalized:
-            if len(blk) != k or len(set(blk)) != k:
-                raise ValueError("blocks must all have the same number of distinct points")
-            if blk[0] < 0 or blk[-1] >= v:
-                raise ValueError("block point out of range")
+        arr = sorted_rows(arr)
+        if (arr[:, 1:] == arr[:, :-1]).any():
+            raise ValueError("blocks must all have the same number of distinct points")
+        if arr[:, 0].min() < 0 or arr[:, -1].max() >= v:
+            raise ValueError("block point out of range")
+        arr.flags.writeable = False
         self.v = int(v)
-        self.k = k
-        self.blocks: tuple[tuple[int, ...], ...] = tuple(normalized)
+        self.k = arr.shape[1]
+        self.array = arr
+        self._blocks: tuple[tuple[int, ...], ...] | None = None
         self._incidence: np.ndarray | None = None
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return len(self.array)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as a tuple of int tuples, cached."""
+        if self._blocks is None:
+            self._blocks = tuple(map(tuple, self.array.tolist()))
+        return self._blocks
 
     def incidence(self) -> np.ndarray:
         """(b, v) 0/1 incidence matrix, cached."""
         if self._incidence is None:
             inc = np.zeros((self.b, self.v), dtype=np.uint8)
-            rows = np.repeat(np.arange(self.b), self.k)
-            cols = np.fromiter((p for blk in self.blocks for p in blk), dtype=np.int64)
-            inc[rows, cols] = 1
+            inc[np.arange(self.b)[:, None], self.array] = 1
             self._incidence = inc
         return self._incidence
 
     def relabel(self, pi: Sequence[int]) -> Design:
         """Apply a point bijection; the result is re-canonicalized."""
-        return Design(self.v, [[pi[p] for p in blk] for blk in self.blocks])
+        return Design(self.v, np.asarray(pi)[self.array])
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Design)
             and self.v == other.v
-            and self.blocks == other.blocks
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self) -> int:
-        return hash((self.v, self.blocks))
+        return hash((self.v, self.array.shape, self.array.tobytes()))
 
     def __repr__(self) -> str:
         return f"Design(v={self.v}, k={self.k}, b={self.b})"
@@ -129,51 +141,36 @@ def from_base_block(G: GroupTable, base: Iterable[int]) -> Design:
         raise ValueError("base block must be nonempty")
     if blk[0] < 0 or blk[-1] >= G.degree:
         raise ValueError("base block point out of range")
-    return Design(G.degree, set_orbit(G.images_array(), blk).tolist())
+    return Design(G.degree, set_orbit(G.images_array(), blk))
 
 
 def lambda_of(D: Design, t: int) -> int | None:
-    """The constant t-subset coverage count, or None if coverage is not constant."""
+    """The constant t-subset coverage count, or None if coverage is not constant.
+
+    Each t-subset s_1 < ... < s_t of each block is counted by its rank
+    sum C(s_i, i) in the combinatorial number system, below C(v, t).
+    """
     if not 1 <= t <= D.k:
         raise ValueError("need 1 <= t <= k")
-    if t == 1:
-        counts = D.incidence().sum(axis=0)
-        vals = np.unique(counts)
-        return int(vals[0]) if len(vals) == 1 else None
-    if t == 2:
-        inc = D.incidence().astype(np.float64)
-        cov = inc.T @ inc  # exact: entries <= b < 2**53
-        off = cov[~np.eye(D.v, dtype=bool)]
-        vals = np.unique(off)
-        return int(vals[0]) if len(vals) == 1 else None
-    if t == 3:
-        if D.v > 160:
-            raise ValueError("triple verification limited to v <= 160")
-        counts = np.zeros((D.v, D.v, D.v), dtype=np.int32)
-        for blk in D.blocks:
-            for trip in combinations(blk, 3):
-                counts[trip] += 1
-        idx = np.array(list(combinations(range(D.v), 3)), dtype=np.int64)
-        vals = np.unique(counts[idx[:, 0], idx[:, 1], idx[:, 2]])
-        return int(vals[0]) if len(vals) == 1 else None
-    if D.v > _GENERAL_T_MAX_V:
+    if t == 3 and D.v > 160:
+        raise ValueError("triple verification limited to v <= 160")
+    if t > 3 and D.v > _GENERAL_T_MAX_V:
         raise ValueError(f"t={t} verification restricted to v <= {_GENERAL_T_MAX_V}")
-    counts: dict[tuple[int, ...], int] = {}
-    for blk in D.blocks:
-        for sub in combinations(blk, t):
-            counts[sub] = counts.get(sub, 0) + 1
-    if len(counts) < math.comb(D.v, t):
-        return None
-    vals = set(counts.values())
-    return vals.pop() if len(vals) == 1 else None
+    combos = np.array(list(combinations(range(D.k), t)), dtype=np.int64)
+    binom = np.array(
+        [[math.comb(s, i) for s in range(D.v)] for i in range(1, t + 1)], dtype=np.int64
+    )
+    keys = binom[np.arange(t), D.array[:, combos]].sum(axis=-1)
+    _, counts = np.unique(keys, return_counts=True)
+    vals = np.unique(counts)
+    return int(vals[0]) if len(counts) == math.comb(D.v, t) and len(vals) == 1 else None
 
 
 def is_block_transitive(G: GroupTable, D: Design) -> bool:
     """True iff the block set is a single orbit of G."""
     if G.degree != D.v:
         raise ValueError("group degree must equal the point count")
-    orbit = from_base_block(G, D.blocks[0])
-    return orbit.blocks == D.blocks
+    return from_base_block(G, D.array[0]) == D
 
 
 def is_flag_transitive(G: GroupTable, D: Design) -> bool:
@@ -182,9 +179,9 @@ def is_flag_transitive(G: GroupTable, D: Design) -> bool:
     Assumes block-transitivity has already been certified; under it the
     answer is independent of the chosen block.
     """
-    blk = D.blocks[0]
+    blk = D.array[0]
     stab = set_stabilizer(G, blk)
-    return set_orbit(stab.images_array(), blk[:1])[:, 0].tolist() == list(blk)
+    return np.array_equal(set_orbit(stab.images_array(), blk[:1])[:, 0], blk)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +192,7 @@ def design_to_dict(D: Design, meta: Mapping[str, object] | None = None) -> dict:
     doc: dict = {
         "v": D.v,
         "k": D.k,
-        "blocks": [[p + 1 for p in blk] for blk in D.blocks],
+        "blocks": (D.array + 1).tolist(),
     }
     if meta:
         doc["meta"] = dict(sorted(meta.items()))

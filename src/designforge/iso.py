@@ -220,8 +220,7 @@ def _extract_bijection(
         return None
     pi = np.empty(pre1.design.v, dtype=np.int64)
     pi[order1] = order2
-    mapped = sorted(tuple(sorted(int(pi[p]) for p in blk)) for blk in pre1.design.blocks)
-    if tuple(mapped) != pre2.design.blocks:
+    if pre1.design.relabel(pi) != pre2.design:
         return None
     return tuple(int(x) for x in pi)
 

@@ -14,7 +14,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -421,19 +421,25 @@ def trivial_subgroup(G: GroupTable) -> Subgroup:
     return Subgroup(G, (G.identity_index,))
 
 
+def sorted_rows(a: np.ndarray) -> np.ndarray:
+    """The package's one canonical order for point sets (rows of `a`): each row
+    sorted, rows in lexicographic order, repeats dropped.  Returns a new array.
+    """
+    a = np.sort(a, axis=1)
+    a = a[np.lexsort(a.T[::-1])]
+    fresh = np.ones(len(a), dtype=bool)
+    fresh[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[fresh]
+
+
 def set_orbit(rows: np.ndarray, points: Sequence[int]) -> np.ndarray:
-    """The distinct images of a point set, as a sorted (n, len(points)) array.
+    """The distinct images of a point set, as a `sorted_rows` array.
 
     `rows` must hold every element of the group (a GroupTable's or a
     Subgroup's `images_array()`), not only its generators: the orbit is read
-    off in one gather with no closure.  Each row of the result is one image
-    set in ascending order; the rows are in lexicographic order.
+    off in one gather with no closure.
     """
-    imgs = np.sort(rows[:, np.asarray(points, dtype=np.int64)], axis=1)
-    imgs = imgs[np.lexsort(imgs.T[::-1])]
-    fresh = np.ones(len(imgs), dtype=bool)
-    fresh[1:] = (imgs[1:] != imgs[:-1]).any(axis=1)
-    return imgs[fresh]
+    return sorted_rows(rows[:, np.asarray(points, dtype=np.int64)])
 
 
 def orbits(H: Subgroup | GroupTable) -> list[tuple[int, ...]]:

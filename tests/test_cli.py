@@ -104,6 +104,13 @@ def test_search_cli_lambda_not_dividing(capsys, s4_gens):
     assert rc == cli.EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("lam", ["0", "-3"])
+def test_search_cli_lambda_not_positive(capsys, s4_gens, lam):
+    rc = cli.main(["search", "--gens", str(s4_gens), "--k", "2", "--lambda", lam])
+    assert rc == cli.EXIT_PRECONDITION
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_search_cap_env(monkeypatch, capsys):
     monkeypatch.setenv(cli.CAP_ENV, "100")
     rc = cli.main(["search", "--gens", data_path("psl33.gens"), "--k", "12", "--lambda", "2"])

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from designforge import design as dz
@@ -104,6 +107,44 @@ def test_lambda_of_non_design():
     assert dz.lambda_of(D, 2) is None
 
 
+def test_lambda_of_matches_definition():
+    rng = random.Random(11)
+    constant = uncovered = 0
+    for _ in range(150):
+        v = rng.randint(2, 12)
+        k = rng.randint(1, min(v, 6))
+        every = list(combinations(range(v), k))
+        D = dz.Design(v, rng.sample(every, rng.randint(1, min(len(every), 30))))
+        for t in range(1, k + 1):
+            counts = Counter(sub for blk in D.blocks for sub in combinations(blk, t))
+            values = set(counts.values())
+            expected = (
+                values.pop()
+                if len(counts) == math.comb(v, t) and len(values) == 1
+                else None
+            )
+            assert dz.lambda_of(D, t) == expected, (v, k, t, D.blocks)
+            constant += expected is not None
+            uncovered += len(counts) < math.comb(v, t)
+    # the sample reaches both answers, and t-subsets that no block covers
+    assert constant and uncovered
+    # complete designs cover every t-subset: lambda_t = C(v-t, k-t) for every t
+    D = dz.Design(8, list(combinations(range(8), 5)))
+    for t in range(1, 6):
+        assert dz.lambda_of(D, t) == math.comb(8 - t, 5 - t)
+
+
+def test_lambda_of_guards():
+    D = dz.Design(41, [tuple(range(5))])
+    assert dz.lambda_of(D, 3) is None  # v <= 160: triples allowed, not constant
+    with pytest.raises(ValueError, match="v <= 40"):
+        dz.lambda_of(D, 4)
+    with pytest.raises(ValueError, match="v <= 160"):
+        dz.lambda_of(dz.Design(161, [tuple(range(5))]), 3)
+    with pytest.raises(ValueError, match="1 <= t <= k"):
+        dz.lambda_of(D, 6)
+
+
 def test_block_transitivity(psl33):
     D1 = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
     assert dz.is_block_transitive(psl33, D1)
@@ -152,6 +193,50 @@ def test_duplicate_blocks_collapse():
 def test_block_size_mismatch_rejected():
     with pytest.raises(ValueError):
         dz.Design(6, [(0, 1, 2), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "v,blocks,message",
+    [
+        (6, [(0, 1, 1)], "distinct points"),
+        (6, [(0, 1, 2), (-1, 3, 4)], "out of range"),
+        (6, [(0, 1, 6)], "out of range"),
+        (6, [], "at least one block"),
+        (6, [(0, 1, 2), (3, 4)], "distinct points"),
+    ],
+    ids=["repeated-point", "negative-point", "point-equal-to-v", "no-blocks", "ragged"],
+)
+def test_design_validation(v, blocks, message):
+    with pytest.raises(ValueError, match=message):
+        dz.Design(v, blocks)
+
+
+def test_design_array_input(psl33):
+    rows = pg.set_orbit(psl33.images_array(), BASE_BLOCK_LAMBDA3)
+    assert rows.dtype == np.uint8
+    D = dz.Design(144, rows)
+    assert D == dz.Design(144, rows.tolist())
+    assert D == dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
+    assert hash(D) == hash(dz.Design(144, [tuple(reversed(blk)) for blk in rows.tolist()]))
+    assert D.array.dtype == np.int64 and D.array.shape == (D.b, D.k)
+    assert not D.array.flags.writeable
+    with pytest.raises(ValueError):
+        D.array[0, 0] = 1
+    assert isinstance(D.blocks, tuple) and all(isinstance(blk, tuple) for blk in D.blocks)
+    assert all(type(p) is int for blk in D.blocks for p in blk)
+    assert D.incidence().sum(axis=1).tolist() == [D.k] * D.b
+    assert D.incidence()[np.arange(D.b)[:, None], D.array].all()
+
+
+def test_relabel_matches_definition(psl33):
+    D = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
+    rng = random.Random(5)
+    for _ in range(3):
+        pi = list(range(144))
+        rng.shuffle(pi)
+        expected = sorted(tuple(sorted(pi[p] for p in blk)) for blk in D.blocks)
+        assert D.relabel(pi).blocks == tuple(expected)
+        assert D.relabel(tuple(pi)) == D.relabel(np.array(pi))
 
 
 def test_design_file_round_trip(tmp_path, psl33):

@@ -110,6 +110,32 @@ def test_s4_sweep(sym4):
     assert results[2].iso_class_count == 0
 
 
+def _filter_survivors(job):
+    """Every candidate of every stabilizer class that passes the proportionality filter."""
+    labels, sizes = sr._pair_orbit_table(job.group)
+    m = job.stabilizer_order
+    for H in pg.subgroups_of_order(job.group, m, size_bound=max(m, 256)):
+        for chunk in sr._candidate_chunks(H, job.k):
+            keep = sr._proportionality_filter(chunk, labels, sizes, job.lam, job.b)
+            yield from (tuple(row) for row in chunk[keep].tolist())
+
+
+@pytest.mark.parametrize("group,k,lam", [("sym4", 2, 1), ("sym4", 2, 2), ("psl33", 12, 3)])
+def test_orbit_length_fixes_stabilizer_order(group, k, lam, request):
+    # search.run accepts on len(orbit) == b alone: |orbit| * |G_B| = |G|
+    # makes that the same as |G_B| = m = |G|/b
+    G = request.getfixturevalue(group)
+    job = sr.SearchJob(G, k, lam)
+    rows = G.images_array()
+    survivors = list(_filter_survivors(job))
+    assert survivors
+    for base in survivors:
+        orbit_len = len(pg.set_orbit(rows, base))
+        stab_order = pg.set_stabilizer(G, base).order
+        assert orbit_len * stab_order == G.order
+        assert (orbit_len == job.b) == (stab_order == job.stabilizer_order)
+
+
 def test_s4_lambda_1_excluded_by_default(sym4):
     results = sr.full_sweep(sym4, 2)
     assert sorted(results) == [2]
