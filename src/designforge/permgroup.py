@@ -539,16 +539,27 @@ def subgroups_of_order(
 ) -> list[Subgroup]:
     """All subgroups of order m, one representative per conjugacy class.
 
-    Bottom-up lattice closure: seed with every cyclic subgroup whose order
-    divides m, then repeatedly extend stored subgroups by one element of
-    order dividing m, keeping a result iff its order divides m.  When m has
-    at most two distinct prime factors every group of order dividing m is
-    solvable, so each extension step may be restricted to normalizing
-    elements (every such subgroup tops a chain of prime-index normal
-    subgroups); otherwise the unrestricted capped closure is used.  On that
-    solvable route the candidates are first cut down to N_G(H) with one
-    vectorized gather per stored generator of H (`_normalizing`), and each
-    surviving coset H*y is tried once, by its smallest cyclic generator.
+    Bottom-up lattice closure that stores one subgroup per conjugacy class:
+    seed with every cyclic subgroup whose order divides m, then repeatedly
+    extend stored subgroups by one element of order dividing m, keeping a
+    result iff its order divides m.  When m has at most two distinct prime
+    factors every group of order dividing m is solvable, so each extension
+    step may be restricted to normalizing elements (every such subgroup tops
+    a chain of prime-index normal subgroups); otherwise the unrestricted
+    capped closure is used.  On that solvable route the candidates are first
+    cut down to N_G(H) with one vectorized gather per stored generator of H
+    (`_normalizing`), and each surviving coset H*y is tried once, by its
+    smallest cyclic generator.
+
+    A new subgroup K is keyed once for its whole class: one gather gives
+    g^-1 K g for every g, every distinct conjugate goes into `seen`, and the
+    lexicographically least one is stored, with its generators conjugated
+    by the same g.  Extending only these representatives still reaches every
+    class, on both routes: if K = <H, y> then K^g = <H^g, y^g>, y^g is in
+    H^g * z for the cyclic generator z tried for that coset, and y normalizes
+    H iff y^g normalizes H^g.  The output is the sorted list of the least
+    members of the order-m classes, so it does not depend on the order in
+    which classes are reached.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -587,25 +598,33 @@ def subgroups_of_order(
         cyc_elements[y] = elems
     cyc_reps = np.array(sorted(cyc_elements), dtype=np.int64)
 
-    lattice: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
-    queue: list[bytes] = []
+    everything = np.arange(G.order, dtype=np.int64)[:, None]
+    seen: set[bytes] = set()
+    queue: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    full: list[tuple[int, ...]] = []
 
-    def store(elems: np.ndarray, gens: tuple[int, ...]) -> None:
-        key = elems.astype(np.int64).tobytes()
-        if key in lattice:
+    def store(K: np.ndarray, gens: tuple[int, ...]) -> None:
+        if K.astype(np.int64).tobytes() in seen:
             return
-        lattice[key] = (elems, gens)
-        if len(elems) < m:
-            queue.append(key)
+        conj = T[T[inv[everything], K], everything]  # row g: g^-1 K g
+        members = sorted_rows(conj).astype(np.int64)
+        seen.update(row.tobytes() for row in members)
+        least = members[0]
+        in_least = np.zeros(G.order, dtype=bool)
+        in_least[least] = True
+        g = int(np.flatnonzero(in_least[conj].all(axis=1))[0])
+        if len(least) == m:
+            full.append(tuple(least.tolist()))
+        else:
+            queue.append((least, tuple(int(T[T[inv[g], x], g]) for x in gens)))
 
     for rep in cyc_reps:
         store(cyc_elements[int(rep)], (int(rep),))
 
     head = 0
     while head < len(queue):
-        H, gens = lattice[queue[head]]
+        H, gens = queue[head]
         head += 1
-        h = len(H)
         in_H = np.zeros(G.order, dtype=bool)
         in_H[H] = True
         ys = cyc_reps[~in_H[cyc_reps]]
@@ -620,41 +639,14 @@ def subgroups_of_order(
         _, first = np.unique(cosets.T, axis=0, return_index=True)
         for y in sorted(int(ys[c]) for c in first):
             if solvable_route:
-                prod = T[np.ix_(H, cyc_elements[y])].ravel()
-                K = np.unique(prod)
-                if m % len(K) == 0:
-                    store(K, gens + (y,))
+                K = np.unique(T[np.ix_(H, cyc_elements[y])])
             else:
                 K = _closure_capped(T, H, gens, y, cap=m)
-                if K is not None and m % len(K) == 0:
-                    store(K, gens + (y,))
+            if K is not None and m % len(K) == 0:
+                store(K, gens + (y,))
 
-    # collapse conjugacy classes among the order-m members
-    full = sorted(
-        (tuple(int(x) for x in elems) for elems, _ in lattice.values() if len(elems) == m)
-    )
-    assigned: set[tuple[int, ...]] = set()
-    reps_out: list[tuple[int, ...]] = []
-    gen_idx = G.generator_indices
-    for sub in full:
-        if sub in assigned:
-            continue
-        orbit = {sub}
-        frontier = [np.array(sub, dtype=np.int64)]
-        while frontier:
-            nxt = []
-            for arr in frontier:
-                for g in gen_idx:
-                    conj = np.sort(T[T[inv[g], arr], g])
-                    key = tuple(int(x) for x in conj)
-                    if key not in orbit:
-                        orbit.add(key)
-                        nxt.append(conj)
-            frontier = nxt
-        assigned |= orbit
-        reps_out.append(min(orbit))
-    reps_out.sort()
-    result = [Subgroup(G, rep) for rep in reps_out]
+    full.sort()
+    result = [Subgroup(G, rep) for rep in full]
     cache[m] = list(result)
     return result
 

@@ -183,8 +183,11 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
     labels, sizes = _pair_orbit_table(G)
     rows = G.images_array()
     classes = subgroups_of_order(G, m, size_bound=max(m, 256))
-    found: dict[tuple[tuple[int, ...], ...], Design] = {}
-    member_blocks: set[tuple[int, ...]] = set()
+    # designs are keyed by big-endian int64 bytes: all have the same (b, k)
+    # shape, so sorting the keys sorts them by their block tuples; blocks are
+    # keyed by native int64 row bytes, as the candidate rows are
+    found: dict[bytes, Design] = {}
+    member_blocks: set[bytes] = set()
     tested = 0
     for H in classes:
         total, _, _ = _orbit_union_plan(H, job.k)
@@ -196,9 +199,8 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
         for chunk in _candidate_chunks(H, job.k):
             tested += len(chunk)
             keep = _proportionality_filter(chunk, labels, sizes, job.lam, job.b)
-            for row in chunk[keep]:
-                base = tuple(int(x) for x in row)
-                if base in member_blocks:
+            for base in chunk[keep]:
+                if base.tobytes() in member_blocks:
                     continue
                 orbit = set_orbit(rows, base)
                 if len(orbit) != job.b:
@@ -206,9 +208,10 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
                 D = Design(G.degree, orbit)
                 if lambda_of(D, 2) != job.lam:
                     continue
-                if D.blocks not in found:
-                    found[D.blocks] = D
-                    member_blocks.update(D.blocks)
+                key = D.array.astype(">i8").tobytes()
+                if key not in found:
+                    found[key] = D
+                    member_blocks.update(D.array.view(f"V{8 * job.k}").ravel().tolist())
     designs = [found[key] for key in sorted(found)]
     if not designs:
         return SearchResult(job, [], [], 0, 0, tested)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -341,6 +344,99 @@ def test_normalizing_matches_definition(request, group, orders):
             gens = _small_generating_set(T, sub.indices)
             got = pg._normalizing(T, inv, in_H, gens, everything)
             assert [int(x) for x in got] == _normalizer_by_definition(G, sub.indices)
+
+
+# (group, m, classes, sha256 of json.dumps of the representative index tuples)
+SUBGROUP_CLASS_HASHES = [
+    ("psl33", 2, 1, "78538adbd1931183c822025887f44029213564f38b498d7984f344d339d4966c"),
+    ("psl33", 3, 2, "15741296679aa4e7135cc293a3c0640527206dfe67996427bbb36a77683c8f4e"),
+    ("psl33", 4, 2, "62f2770fea3655a83cf74b422e44a590e68930953ecaab7e279f6d21194df03a"),
+    ("psl33", 6, 4, "ab4e714834b76e65b21915eeaeffdb7287f23402e41a85c832934559863ef5ef"),
+    ("psl33", 8, 3, "363a82f2865ac91fd02a62cf7a3961b41699a91665667633e08c6bcf52ca62eb"),
+    ("psl33", 9, 3, "725cfeb0cc129207f6b013e84627747acc33eb0c5797b7488a4116152b20c2aa"),
+    ("psl33", 12, 2, "36f38abc8603b77c875d58417ef9fcf659ffde8ea2c139d5c573908b41290b81"),
+    ("psl33", 13, 1, "5381fd6de9ecd8b74a37e2a06693c7137bd4357b6bebb14f9d2a13f7dd5fddda"),
+    ("psl33", 16, 1, "a5a60eb5ab94482bfcf1e4667a8807ae534dac5bf7914842219bd13533df9165"),
+    ("psl33", 18, 5, "e254014f8d0045f5483268b8724118ff1aed40fb0cd98585dc553dcec3c7c2cd"),
+    ("psl33", 24, 2, "e6175aa1986c2aa0b20f3b569727477cc2096fce09b43557bf17ba34850937b0"),
+    ("psl33", 26, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("psl33", 27, 1, "9e9cb607b81cd5464644fce0cf306e3b7418fe11365e36125d35b01199889330"),
+    ("psl33", 36, 4, "08f31ef1546e7e0c98586d335f71c6a39b1a9d934bc46c931640bcb016875a64"),
+    ("psl33", 39, 1, "f1987897692b846c412a25f6f72af4f7887461586f5c8ca1ee0d57a783fa1f09"),
+    ("psl33", 52, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("psl33", 54, 3, "6be60ce4ac731122e2592e29cddfef1d9751a898a7a2aea0edb392020df382b9"),
+    ("pgl33", 6, 6, "c4dd79186bad90711dfba07ef48ff00abc7175cada6c09dded4a58833ffe841d"),
+    ("pgl33", 12, 5, "274fa1031dfd65ed1f6b6cac278a203db7574ab3ed25f0acac6a055dd82dbda6"),
+    ("pgl33", 18, 5, "072f192d82063c9118ce29d7eebc9e37df5b0089fa99c6ee1137037dc294e852"),
+    ("pgl33", 24, 5, "02b14084141ec99176f26aa5cf4e82ef5ef096ed5cdb304abb1ebc71dd798aef"),
+    ("pgl33", 36, 3, "e9a114b47cc5ee77894c65c516915ca6948060c0444116ef6c4f7ebb4dbd6b7a"),
+]
+
+
+@pytest.mark.parametrize(
+    "group, m, count, digest",
+    SUBGROUP_CLASS_HASHES,
+    ids=[f"{g}-{m}" for g, m, _, _ in SUBGROUP_CLASS_HASHES],
+)
+def test_subgroup_class_representatives_pinned(request, group, m, count, digest):
+    subs = pg.subgroups_of_order(request.getfixturevalue(group), m)
+    assert len(subs) == count
+    got = hashlib.sha256(json.dumps([s.indices for s in subs]).encode()).hexdigest()
+    assert got == digest
+
+
+@pytest.fixture(scope="module")
+def sym5() -> pg.GroupTable:
+    gens = [pg.parse_cycles("(1,2)", 5), pg.parse_cycles("(1,2,3,4,5)", 5)]
+    return pg.GroupTable.generate(gens)
+
+
+def _least_conjugate(G: pg.GroupTable, H: tuple[int, ...]) -> tuple[int, ...]:
+    T = G.mul_table()
+    inv = G.inverse_indices()
+    g = np.arange(G.order, dtype=np.int64)[:, None]
+    conj = np.sort(T[T[inv[g], np.array(H, dtype=np.int64)[None, :]], g], axis=1)
+    return min(tuple(int(x) for x in row) for row in conj)
+
+
+def _two_generated_class_reps(G: pg.GroupTable) -> set[tuple[int, ...]]:
+    """Least member of the class of every <a, b>, a running over one element of
+    each conjugacy class and b over the whole group: every subgroup of S5 is
+    2-generated, and <x, y>^g = <x^g, y^g> lets x be a class representative."""
+    T = G.mul_table()
+    inv = G.inverse_indices()
+    everything = np.arange(G.order, dtype=np.int64)
+    class_reps = {int(T[T[inv, x], everything].min()) for x in range(G.order)}
+    subs = set()
+    for a in class_reps:
+        for b in range(G.order):
+            elems = {0}
+            frontier = [0]
+            while frontier:
+                new = {int(T[w, g]) for w in frontier for g in (a, b)} - elems
+                elems |= new
+                frontier = list(new)
+            subs.add(tuple(sorted(elems)))
+    return {_least_conjugate(G, H) for H in subs}
+
+
+def test_subgroups_of_order_s5_against_oracle(sym5):
+    # m = 30 and 60 and 120 take the unrestricted closure (three primes)
+    oracle = _two_generated_class_reps(sym5)
+    assert len(oracle) == 19
+    for m in (1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60, 120):
+        found = [sub.indices for sub in pg.subgroups_of_order(sym5, m)]
+        assert found == sorted(H for H in oracle if len(H) == m), f"m={m}"
+    assert pg.subgroups_of_order(sym5, 30) == []
+    assert pg.subgroups_of_order(sym5, 40) == []
+
+
+def test_subgroups_of_order_78_is_fast_and_empty(psl33):
+    # 78 = 2*3*13 takes the unrestricted closure; a lattice that kept every
+    # conjugate took 102 s on 2 vCPUs
+    t0 = time.perf_counter()
+    assert pg.subgroups_of_order(psl33, 78) == []
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_lagrange_on_enumerated_subgroups(psl33):
