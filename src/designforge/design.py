@@ -28,7 +28,7 @@ class Design:
     """A set of k-subsets (blocks) of {0, ..., v-1}: `array` is the read-only
     (b, k) int64 block array in `sorted_rows` order, `blocks` its tuples."""
 
-    __slots__ = ("v", "k", "array", "_blocks", "_incidence")
+    __slots__ = ("v", "k", "array", "_blocks")
 
     def __init__(self, v: int, blocks: Iterable[Iterable[int]]):
         rows = blocks if isinstance(blocks, np.ndarray) else [list(blk) for blk in blocks]
@@ -48,7 +48,6 @@ class Design:
         self.k = arr.shape[1]
         self.array = arr
         self._blocks: tuple[tuple[int, ...], ...] | None = None
-        self._incidence: np.ndarray | None = None
 
     @property
     def b(self) -> int:
@@ -62,12 +61,10 @@ class Design:
         return self._blocks
 
     def incidence(self) -> np.ndarray:
-        """(b, v) 0/1 incidence matrix, cached."""
-        if self._incidence is None:
-            inc = np.zeros((self.b, self.v), dtype=np.uint8)
-            inc[np.arange(self.b)[:, None], self.array] = 1
-            self._incidence = inc
-        return self._incidence
+        """(b, v) 0/1 incidence matrix."""
+        inc = np.zeros((self.b, self.v), dtype=np.uint8)
+        inc[np.arange(self.b)[:, None], self.array] = 1
+        return inc
 
     def relabel(self, pi: Sequence[int]) -> Design:
         """Apply a point bijection; the result is re-canonicalized."""

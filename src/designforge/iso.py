@@ -9,15 +9,41 @@ which carries second-order structure that plain bipartite refinement cannot
 reach in regular designs.  Every bijection returned is verified to map the
 first block set exactly onto the second, so hashed color signatures can never
 produce a false positive; they only steer and prune the search.
+
+Per design, `_Precomp` holds the block-intersection matrix; the pair
+signatures (from one sort of every pair of every block) and the stable
+starting colors are computed on first use and then shared by the
+fingerprint and the backtracking search.
+
+`iso_classes` works in tiers and reuses what it learns:
+
+* Reuse.  Every bijection found by backtracking is kept with its inverse,
+  and each later design is relabelled by the kept ones and looked up among
+  the block sets already visited.  A hit is a verified isomorphism: the
+  exact block-set match is the certificate.  Designs whose full automorphism
+  group is G can only be isomorphic through the normalizer of G, so one
+  learned bijection outside G settles every pair it relates.
+* Tiers.  A design that no kept bijection settles is compared with the
+  class representatives: first the intersection and block-profile
+  histograms (from the intersection matrix alone), then the full
+  fingerprint, then backtracking.  Pair signatures and colors are built
+  only for designs that reach the second tier, and each `_Precomp` lives
+  only while its design is being compared.
+* Negative answers come only from a mismatched invariant or an exhausted
+  backtracking search.  A kept bijection that finds no match decides
+  nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .design import Design, lambda_of
+from .design import Design
 
 _U64 = np.uint64
 _RNG_WEIGHTS = np.random.default_rng(0x5EED5EED).integers(
@@ -85,50 +111,58 @@ class IsoCertificate:
 
 
 class _Precomp:
-    """Per-design matrices shared by fingerprinting and the backtracking search."""
+    """Per-design arrays shared by fingerprinting and the backtracking search."""
 
     def __init__(self, D: Design):
         self.design = D
-        self.inc = D.incidence()
-        inc_f = self.inc.astype(np.float64)
-        meet = inc_f @ inc_f.T  # exact: entries <= k <= 255
-        self.meet = meet.astype(np.uint8)
-        cov = inc_f.T @ inc_f
-        self.pair_cov = cov.astype(np.int64)
-        self.pair_sig = self._pair_signatures()
+        inc = D.incidence().astype(np.float32)
+        self.meet = (inc @ inc.T).astype(np.uint8)  # exact: entries <= k <= 255
 
-    def _pair_signatures(self) -> np.ndarray:
-        """S[p,q]: hash of the multiset of |B ∩ B'| over blocks B, B' ∋ {p,q}."""
+    @cached_property
+    def pairs(self) -> tuple[int | None, np.ndarray, np.ndarray]:
+        """(lam, C, S): the constant pair coverage (or None), the pair coverage
+        counts C[p,q] and the pair signatures S[p,q].
+
+        S[p,q] hashes the multiset of |B ∩ B'| over the blocks B != B'
+        through both p and q, and S[p,p] the number of blocks through p.
+        Every pair of every block is keyed once; sorting the keys groups the
+        blocks through each pair, and the pairs of one coverage count c are
+        hashed together as rows of c(c-1)/2 meets.
+        """
         D = self.design
         v = D.v
-        S = np.zeros((v, v), dtype=_U64)
-        cov = self.pair_cov
-        uniform = len(np.unique(cov[~np.eye(v, dtype=bool)])) == 1
-        for p in range(v):
-            through_p = np.flatnonzero(self.inc[:, p])
-            sub = self.meet[np.ix_(through_p, through_p)]
-            inc_t = self.inc[through_p].copy()
-            inc_t[:, p] = 0
-            covers = cov[p].copy()
-            covers[p] = 0
-            if uniform and covers.max() > 0:
-                lam = int(covers.max())
-                qs = np.flatnonzero(covers)
-                order = np.nonzero(inc_t.T)  # sorted by q
-                per_q = order[1].reshape(len(qs), lam)
-                iu, ju = np.triu_indices(lam, k=1)
-                vals = sub[per_q[:, iu], per_q[:, ju]]
-                S[p, qs] = _row_multiset_hash(vals)
-            else:
-                for q in range(v):
-                    if q == p or covers[q] == 0:
-                        continue
-                    idx = np.flatnonzero(inc_t[:, q])
-                    mm = sub[np.ix_(idx, idx)]
-                    tri = mm[np.triu_indices(len(idx), k=1)]
-                    S[p, q] = _row_multiset_hash(tri[None, :])[0] if tri.size else _U64(1)
-            S[p, p] = _mix(np.array([len(through_p)], dtype=_U64))[0]
-        return S
+        iu, ju = np.triu_indices(D.k, k=1)
+        keys = (D.array[:, iu] * v + D.array[:, ju]).ravel()
+        order = np.argsort(keys)
+        on_block = order // len(iu)  # blocks through each pair, pair by pair
+        pair_keys, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+        ps, qs = np.divmod(pair_keys, v)
+        coverages = np.unique(counts)
+        lam = (
+            int(coverages[0])
+            if len(pair_keys) == math.comb(v, 2) and len(coverages) == 1
+            else None
+        )
+        through = np.bincount(D.array.ravel(), minlength=v)
+        cov = np.diag(through)
+        cov[ps, qs] = cov[qs, ps] = counts
+        S = np.diag(_mix(through))
+        for c in coverages:
+            sel = counts == c
+            blks = on_block[starts[sel, None] + np.arange(c)]
+            a, b = np.triu_indices(c, k=1)
+            hashes = _row_multiset_hash(self.meet[blks[:, a], blks[:, b]])
+            if c == 1 and lam != 1:
+                # a pair on one block has no meets; outside 2-(v,k,1) designs
+                # its signature is the constant 1, not the empty-row hash
+                hashes[:] = 1
+            S[ps[sel], qs[sel]] = S[qs[sel], ps[sel]] = hashes
+        return lam, cov, S
+
+    @cached_property
+    def colors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stable point and block colours from which every search starts."""
+        return _initial_colors(self)
 
 
 def _histogram(values: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -146,20 +180,29 @@ def _refine(
     multiset of (intersection size, color) over all blocks and the multiset
     of point colors on the block; for points, the multiset of colors of the
     blocks through the point and the multiset of (pair signature, color) over
-    all other points.
+    all other points.  A block's (intersection size, color) term depends
+    only on those two values, so it is looked up in a colors x (k+1) table;
+    uint64 sums wrap, so the order of summation does not matter.
     """
-    inc64 = pre.inc.astype(_U64)
-    meet64 = pre.meet.astype(_U64)
-    sig = pre.pair_sig
-    n_p, n_b = len(np.unique(pc)), len(np.unique(bc))
+    arr = pre.design.array
+    k = pre.design.k
+    meet = pre.meet.astype(np.intp)  # intp indices: numpy gathers them without a cast
+    sig = pre.pairs[2]
+    sizes = np.arange(k + 1, dtype=_U64) * _U64(0x9DDFEA08EB382D69)
+    n_p = len(np.unique(pc))
+    b_vals, b_ids = np.unique(bc, return_inverse=True)
+    n_b = len(b_vals)
     for _ in range(max_rounds):
-        bsig = _mix(meet64 * _U64(0x9DDFEA08EB382D69) ^ _mix(bc)[None, :]).sum(axis=1)
-        bpoint = (inc64 * _mix(pc * _U64(3) + _U64(1))[None, :]).sum(axis=1)
+        table = _mix(_mix(b_vals)[:, None] ^ sizes[None, :])  # row: color, column: size
+        bsig = table.ravel()[meet + b_ids * (k + 1)].sum(axis=1)
+        bpoint = _mix(pc * _U64(3) + _U64(1))[arr].sum(axis=1)
         bc = _mix(bc) ^ _mix(bsig) ^ _mix(bpoint)
-        pblock = (inc64 * _mix(bc * _U64(5) + _U64(2))[:, None]).sum(axis=0)
+        pblock = np.zeros(pre.design.v, dtype=_U64)
+        np.add.at(pblock, arr, _mix(bc * _U64(5) + _U64(2))[:, None])
         ppair = _mix(sig ^ _mix(pc * _U64(7) + _U64(3))[None, :]).sum(axis=1)
         pc = _mix(pc) ^ _mix(pblock) ^ _mix(ppair)
-        m_p, m_b = len(np.unique(pc)), len(np.unique(bc))
+        b_vals, b_ids = np.unique(bc, return_inverse=True)
+        m_p, m_b = len(np.unique(pc)), len(b_vals)
         if (m_p, m_b) == (n_p, n_b):
             break
         n_p, n_b = m_p, m_b
@@ -172,7 +215,7 @@ def _class_profile(colors: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 
 def _initial_colors(pre: _Precomp) -> tuple[np.ndarray, np.ndarray]:
-    pc = _row_multiset_hash(pre.pair_sig.view(np.int64))
+    pc = _row_multiset_hash(pre.pairs[2].view(np.int64))
     bc = np.full(pre.design.b, 2, dtype=_U64)
     return _refine(pre, pc, bc)
 
@@ -181,32 +224,41 @@ def fingerprint(D: Design) -> Fingerprint:
     return _fingerprint(_Precomp(D))
 
 
-def _fingerprint(pre: _Precomp) -> Fingerprint:
+def _block_histograms(
+    pre: _Precomp,
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The block-intersection and block-profile histograms, from `meet` alone."""
     D = pre.design
-    triu = np.triu_indices(D.b, k=1)
-    inter = pre.meet[triu]
     offs = np.arange(D.b, dtype=np.int64) * (D.k + 1)
-    flat = np.bincount(
-        (pre.meet.astype(np.int64) + offs[:, None]).ravel(), minlength=D.b * (D.k + 1)
-    )
+    flat = np.bincount((pre.meet + offs[:, None]).ravel(), minlength=D.b * (D.k + 1))
     profile_rows = flat.reshape(D.b, D.k + 1)
     profile_rows[:, D.k] -= 1  # drop the self-intersection
     profile_hashes = _row_multiset_hash(
         profile_rows + np.arange(D.k + 1, dtype=np.int64)[None, :] * 4096
     )
+    inter = profile_rows.sum(axis=0) // 2  # each unordered pair of blocks, once
+    return (
+        tuple((size, int(c)) for size, c in enumerate(inter) if c),
+        _histogram(profile_hashes),
+    )
+
+
+def _fingerprint(pre: _Precomp) -> Fingerprint:
+    D = pre.design
+    intersections, profiles = _block_histograms(pre)
+    lam, cov, sig = pre.pairs
     ptriu = np.triu_indices(D.v, k=1)
-    pc, bc = _initial_colors(pre)
-    stable = np.concatenate([pc, bc])
+    pc, bc = pre.colors
     return Fingerprint(
         v=D.v,
         b=D.b,
         k=D.k,
-        lam=lambda_of(D, 2),
-        intersection_histogram=_histogram(inter),
-        block_profile_histogram=_histogram(profile_hashes),
-        pair_coverage_spectrum=_histogram(pre.pair_cov[ptriu]),
-        pair_signature_histogram=_histogram(_row_multiset_hash(pre.pair_sig.view(np.int64))),
-        stable_color_histogram=_histogram(stable),
+        lam=lam,
+        intersection_histogram=intersections,
+        block_profile_histogram=profiles,
+        pair_coverage_spectrum=_histogram(cov[ptriu]),
+        pair_signature_histogram=_histogram(_row_multiset_hash(sig.view(np.int64))),
+        stable_color_histogram=_histogram(np.concatenate([pc, bc])),
     )
 
 
@@ -280,8 +332,8 @@ def _are_isomorphic(
     mismatch = fp1.first_mismatch(fp2)
     if mismatch is not None:
         return IsoCertificate(False, mismatch=mismatch)
-    pc1, bc1 = _initial_colors(pre1)
-    pc2, bc2 = _initial_colors(pre2)
+    pc1, bc1 = pre1.colors
+    pc2, bc2 = pre2.colors
     found = _search(pre1, pre2, pc1, bc1, pc2, bc2, depth=0)
     if found is None:
         return IsoCertificate(False, mismatch="exhausted-backtracking")
@@ -311,44 +363,65 @@ class _UnionFind:
 def iso_classes(designs: list[Design]) -> list[list[int]]:
     """Partition input indices into isomorphism classes.
 
-    Designs are bucketed by fingerprint, then pairwise tested inside each
-    bucket with union-find; pairs of already-settled classes are skipped, and
-    a failed test is recorded per class pair so it never reruns.  Classes are
-    ordered by the lexicographically least canonical block set they contain;
-    the partition is independent of the input order.
+    Designs are visited in input order.  A design joins a class when the
+    identity or a kept bijection maps it onto a block set already visited;
+    otherwise it goes through the tiers against the class representatives
+    (see the module docstring), and starts a new class if none matches.
+    Classes are ordered by the lexicographically least canonical block set
+    they contain; the partition is independent of the input order.
     """
-    pres = [_Precomp(D) for D in designs]
-    fps = [_fingerprint(p) for p in pres]
-    buckets: dict[Fingerprint, list[int]] = {}
-    for i, fp in enumerate(fps):
-        buckets.setdefault(fp, []).append(i)
     uf = _UnionFind(len(designs))
-    refuted: set[tuple[int, int]] = set()
-    for members in buckets.values():
-        ordered = sorted(members, key=lambda i: (designs[i].v, designs[i].blocks))
-        for a_pos, i in enumerate(ordered):
-            for j in ordered[a_pos + 1 :]:
-                ri, rj = uf.find(i), uf.find(j)
-                if ri == rj or (min(ri, rj), max(ri, rj)) in refuted:
-                    continue
-                if designs[i] == designs[j]:
-                    uf.union(i, j)
-                    continue
-                cert = _are_isomorphic(pres[i], pres[j], fps[i], fps[j])
-                if cert.isomorphic:
-                    uf.union(i, j)
-                else:
-                    refuted.add((min(ri, rj), max(ri, rj)))
+    visited: dict[Design, int] = {}
+    learned: dict[bytes, np.ndarray] = {}
+    reps: dict[tuple, list[int]] = {}  # block histograms -> class representatives
+    fps: dict[int, Fingerprint] = {}  # made on first need
+    for i, D in enumerate(designs):
+        images = chain([D], (D.relabel(pi) for pi in learned.values() if len(pi) == D.v))
+        hit = next((visited[E] for E in images if E in visited), None)
+        visited.setdefault(D, i)
+        if hit is not None:
+            uf.union(hit, i)
+            continue
+        pre = _Precomp(D)
+        bucket = reps.setdefault((D.v, D.b, D.k, _block_histograms(pre)), [])
+        for r in bucket:
+            r_pre = None
+            if r not in fps:
+                r_pre = _Precomp(designs[r])
+                fps[r] = _fingerprint(r_pre)
+            if i not in fps:
+                fps[i] = _fingerprint(pre)
+            if fps[r] != fps[i]:
+                continue
+            cert = _are_isomorphic(r_pre or _Precomp(designs[r]), pre, fps[r], fps[i])
+            if cert.isomorphic:
+                uf.union(r, i)
+                pi = np.array(cert.bijection, dtype=np.int64)
+                for g in (pi, np.argsort(pi)):
+                    learned.setdefault(g.tobytes(), g)
+                break
+        else:
+            bucket.append(i)
     groups: dict[int, list[int]] = {}
     for i in range(len(designs)):
         groups.setdefault(uf.find(i), []).append(i)
     classes = sorted(
         (sorted(members) for members in groups.values()),
-        key=lambda cls: min(designs[i].blocks for i in cls),
+        key=lambda cls: min(_order_key(designs[i]) for i in cls),
     )
     return classes
 
 
+def _order_key(D: Design) -> tuple[int, tuple[int, ...], bytes]:
+    """Sorts designs exactly as (v, blocks) tuples do, without building them.
+
+    Blocks of different sizes never compare equal, so the first block
+    decides between designs with different k; for equal k the big-endian
+    bytes of the block array compare block by block, a prefix first.
+    """
+    return D.v, tuple(D.array[0].tolist()), D.array.astype(">i8").tobytes()
+
+
 def class_representatives(designs: list[Design], classes: list[list[int]]) -> list[int]:
     """Index of the lexicographically least design in each class."""
-    return [min(cls, key=lambda i: designs[i].blocks) for cls in classes]
+    return [min(cls, key=lambda i: _order_key(designs[i])) for cls in classes]

@@ -289,7 +289,9 @@ class GroupTable:
 
     def inverse_indices(self) -> np.ndarray:
         if self._inv is None:
-            inv_rows = np.argsort(self._imgs, axis=1).astype(self._imgs.dtype)
+            inv_rows = np.empty_like(self._imgs)
+            points = np.arange(self.degree, dtype=self._imgs.dtype)
+            np.put_along_axis(inv_rows, self._imgs, points[None, :], axis=1)
             self._inv = np.fromiter(
                 (self._index[inv_rows[i].tobytes()] for i in range(self.order)),
                 dtype=np.int64,
@@ -542,14 +544,17 @@ def subgroups_of_order(
     Bottom-up lattice closure that stores one subgroup per conjugacy class:
     seed with every cyclic subgroup whose order divides m, then repeatedly
     extend stored subgroups by one element of order dividing m, keeping a
-    result iff its order divides m.  When m has at most two distinct prime
-    factors every group of order dividing m is solvable, so each extension
-    step may be restricted to normalizing elements (every such subgroup tops
-    a chain of prime-index normal subgroups); otherwise the unrestricted
-    capped closure is used.  On that solvable route the candidates are first
-    cut down to N_G(H) with one vectorized gather per stored generator of H
-    (`_normalizing`), and each surviving coset H*y is tried once, by its
-    smallest cyclic generator.
+    result iff its order divides m.  When every group of order dividing m
+    is solvable, each extension step may be restricted to normalizing
+    elements (every such subgroup tops a chain of prime-index normal
+    subgroups); otherwise the unrestricted capped closure is used.  Below
+    360 the only non-abelian simple groups are A5 (order 60) and PSL(2,7)
+    (order 168), so for m < 360 every group of order dividing m is solvable
+    unless 60 | m or 168 | m; from 360 on, Burnside's p^a q^b theorem is
+    used (at most two distinct primes).  On that solvable route the
+    candidates are first cut down to N_G(H) with one vectorized gather per
+    stored generator of H (`_normalizing`), and each surviving coset H*y is
+    tried once, by its smallest cyclic generator.
 
     A new subgroup K is keyed once for its whole class: one gather gives
     g^-1 K g for every g, every distinct conjugate goes into `seen`, and the
@@ -579,7 +584,9 @@ def subgroups_of_order(
     T = G.mul_table()
     inv = G.inverse_indices()
     orders = G.element_orders()
-    solvable_route = len(factorize(m)) <= 2
+    solvable_route = (
+        m % 60 != 0 and m % 168 != 0 if m < 360 else len(factorize(m)) <= 2
+    )
 
     cand = np.flatnonzero((m % orders) == 0)
     cand = cand[cand != 0]

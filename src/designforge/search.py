@@ -18,7 +18,7 @@ from .iso import class_representatives, iso_classes
 from .permgroup import GroupTable, Subgroup, orbits, set_orbit, set_stabilizer, subgroups_of_order
 
 MAX_CANDIDATES = 1_000_000
-_CHUNK = 65536
+_CHUNK = 16384
 
 
 class CandidateExplosionError(RuntimeError):
@@ -212,6 +212,7 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
                 if key not in found:
                     found[key] = D
                     member_blocks.update(D.array.view(f"V{8 * job.k}").ravel().tolist())
+    del member_blocks  # not needed again; freed before the iso stage's peak
     designs = [found[key] for key in sorted(found)]
     if not designs:
         return SearchResult(job, [], [], 0, 0, tested)
@@ -220,11 +221,12 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
     records = []
     for i in reps:
         D = designs[i]
+        base = tuple(D.array[0].tolist())
         records.append(
             DesignRecord(
                 design=D,
-                base_block=D.blocks[0],
-                stabilizer_order=set_stabilizer(G, D.blocks[0]).order,
+                base_block=base,
+                stabilizer_order=set_stabilizer(G, base).order,
                 flag_transitive=is_flag_transitive(G, D),
             )
         )

@@ -12,6 +12,8 @@ bijection and the enumeration certified complete by an exact mass audit.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import time
 from collections import Counter
@@ -119,6 +121,18 @@ def test_criterion_3_sweep_counts_and_flags(psl33, psl_sweep):
         "abstract isomorphism classes (explicit verified bijections) = 91; "
         "published class count = 96 (not reproducible; see xfail tests)"
     )
+
+
+# sha256 of json.dumps of the lambda = 12 representatives' block arrays in
+# class order, recorded when every class was settled by its own pairwise test
+LAMBDA12_REPRESENTATIVES_SHA256 = "999b862fd3f422b749607d854f9b21358f9cc03d87bb467b4e8a2a4dc1c0a3e0"
+
+
+def test_criterion_3_lambda12_representatives_pinned(psl_sweep):
+    lam12 = psl_sweep[0][12]
+    assert lam12.iso_class_count == 91
+    blocks = json.dumps([D.array.tolist() for D in lam12.designs])
+    assert hashlib.sha256(blocks.encode()).hexdigest() == LAMBDA12_REPRESENTATIVES_SHA256
 
 
 @pytest.mark.xfail(

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from designforge import design as dz
@@ -14,6 +18,33 @@ from conftest import BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA6
 FANO = dz.Design(
     7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
 )
+
+# sha256 of json.dumps(field) for every Fingerprint field, recorded before the
+# pair signatures and the refinement were vectorized
+FINGERPRINT_FIELD_SHA256 = {
+    "fano": {
+        "v": "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
+        "b": "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
+        "k": "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce",
+        "lam": "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+        "intersection_histogram": "0658f1328c37ea317a28fa74b0f8062e2aa4b8df0ff232d31149ffc2dacd8d92",
+        "block_profile_histogram": "4cdec38c065acf176847d11a2ea595a416b2e6a741a8614c1a7af428da58254c",
+        "pair_coverage_spectrum": "0658f1328c37ea317a28fa74b0f8062e2aa4b8df0ff232d31149ffc2dacd8d92",
+        "pair_signature_histogram": "0279dfe02481b06c787ce318a6db5d49a0ffe9bc4cf55e1511d425c8639ae377",
+        "stable_color_histogram": "a7ecd8fd9826a394b6a4890f8c64ecddbcf219beb6040c59551f29c695295cf3",
+    },
+    "lambda3": {
+        "v": "5ec1a0c99d428601ce42b407ae9c675e0836a8ba591c8ca6e2a2cf5563d97ff0",
+        "b": "1e5ee5e58c8f490ae68e7e91b1575ebefc2bf6c211f302a553ff0c4925e85321",
+        "k": "6b51d431df5d7f141cbececcf79edf3dd861c3b4069f0b11661a3eefacbba918",
+        "lam": "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce",
+        "intersection_histogram": "f89bd76878f0e8336286a8445754ee6dddb643c4b8ac530506b09886df71e761",
+        "block_profile_histogram": "d7714086f22dd7e8957d116ef6b1ceb20832c82569c8a6a3f161773752c4d91a",
+        "pair_coverage_spectrum": "781a636021a3619caaeda9f287809a4787a8658fb21c1924d21871d6d77d0674",
+        "pair_signature_histogram": "0c7abab500ca854131eac75e440db41e29577eeab50ba4a496f2ca6e6d8e609c",
+        "stable_color_histogram": "752d7976230a3c157fdf3b892961b0cfb8b4a2eafbad5786d7ac053b2a6c98a3",
+    },
+}
 
 
 def _random_relabel(D: dz.Design, rng: random.Random) -> tuple[dz.Design, list[int]]:
@@ -49,6 +80,73 @@ def test_fingerprint_separates_different_lambda(psl33, pgl33):
     fp1, fp3 = iso.fingerprint(D1), iso.fingerprint(D3)
     assert fp1 != fp3
     assert fp1.first_mismatch(fp3) is not None
+
+
+def _random_designs(n: int, seed: int) -> list[dz.Design]:
+    """Designs with uncovered pairs and several coverage counts."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        v = rng.randint(6, 20)
+        k = rng.randint(2, min(6, v - 1))
+        blocks = {tuple(sorted(rng.sample(range(v), k))) for _ in range(rng.randint(2, 30))}
+        out.append(dz.Design(v, sorted(blocks)))
+    return out
+
+
+def _pair_signatures_by_point(D: dz.Design) -> tuple[np.ndarray, np.ndarray]:
+    """Pair coverage and pair signatures by the per-point loop that defines them."""
+    v = D.v
+    inc = D.incidence()
+    inc_f = inc.astype(np.float64)
+    meet = (inc_f @ inc_f.T).astype(np.uint8)
+    cov = (inc_f.T @ inc_f).astype(np.int64)
+    S = np.zeros((v, v), dtype=np.uint64)
+    uniform = len(np.unique(cov[~np.eye(v, dtype=bool)])) == 1
+    for p in range(v):
+        through_p = np.flatnonzero(inc[:, p])
+        sub = meet[np.ix_(through_p, through_p)]
+        inc_t = inc[through_p].copy()
+        inc_t[:, p] = 0
+        covers = cov[p].copy()
+        covers[p] = 0
+        if uniform and covers.max() > 0:
+            lam = int(covers.max())
+            qs = np.flatnonzero(covers)
+            order = np.nonzero(inc_t.T)  # sorted by q
+            per_q = order[1].reshape(len(qs), lam)
+            iu, ju = np.triu_indices(lam, k=1)
+            S[p, qs] = iso._row_multiset_hash(sub[per_q[:, iu], per_q[:, ju]])
+        else:
+            for q in range(v):
+                if q == p or covers[q] == 0:
+                    continue
+                idx = np.flatnonzero(inc_t[:, q])
+                tri = sub[np.ix_(idx, idx)][np.triu_indices(len(idx), k=1)]
+                S[p, q] = iso._row_multiset_hash(tri[None, :])[0] if tri.size else 1
+        S[p, p] = iso._mix(np.array([len(through_p)], dtype=np.uint64))[0]
+    return cov, S
+
+
+def test_pair_signatures_match_per_point_definition(psl33):
+    designs = [FANO, dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3), *_random_designs(30, 7)]
+    for D in designs:
+        lam, cov, S = iso._Precomp(D).pairs
+        ref_cov, ref_S = _pair_signatures_by_point(D)
+        assert np.array_equal(cov, ref_cov)
+        assert np.array_equal(S, ref_S)
+        assert lam == dz.lambda_of(D, 2)
+
+
+@pytest.mark.parametrize("name", ["fano", "lambda3"])
+def test_fingerprint_fields_pinned(psl33, name):
+    D = FANO if name == "fano" else dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
+    fp = iso.fingerprint(D)
+    got = {
+        f.name: hashlib.sha256(json.dumps(getattr(fp, f.name)).encode()).hexdigest()
+        for f in dataclasses.fields(fp)
+    }
+    assert got == FINGERPRINT_FIELD_SHA256[name]
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +235,42 @@ def test_iso_classes_input_order_invariant(psl33):
     assert {frozenset(c) for c in a} == partition_a
     b = iso.iso_classes([complete, r2, r1, D])
     assert {frozenset(c) for c in b} == {frozenset((1, 2, 3)), frozenset((0,))}
+
+
+def test_iso_classes_reuses_a_learned_bijection(monkeypatch):
+    # D and E have trivial automorphism groups, so the one bijection between
+    # D and pi(D) is pi, and it maps E onto pi(E) with no second search
+    rng = random.Random(12)
+    triples = list(combinations(range(7), 3))
+    rigid = []
+    while len(rigid) < 2:
+        D = dz.Design(7, rng.sample(triples, 6))
+        autos = sum(D.relabel(pi) == D for pi in permutations(range(7)))
+        if autos == 1 and all(iso.fingerprint(D) != iso.fingerprint(R) for R in rigid):
+            rigid.append(D)
+    pi = list(range(7))
+    rng.shuffle(pi)
+    D, E = rigid
+    searches = []
+    real = iso._are_isomorphic
+    monkeypatch.setattr(iso, "_are_isomorphic", lambda *a: searches.append(1) or real(*a))
+    classes = iso.iso_classes([D, E, D.relabel(pi), E.relabel(pi)])
+    assert {frozenset(c) for c in classes} == {frozenset((0, 2)), frozenset((1, 3))}
+    assert len(searches) == 1
+
+
+def test_order_key_sorts_as_block_tuples():
+    # same v with mixed k and b, including a design whose blocks start
+    # another design's blocks
+    rng = random.Random(13)
+    designs = [
+        dz.Design(8, [tuple(sorted(rng.sample(range(8), k))) for _ in range(rng.randint(1, 6))])
+        for k in (2, 3, 4)
+        for _ in range(15)
+    ]
+    designs += [dz.Design(8, D.blocks[:1]) for D in designs[::4]]
+    order = sorted(range(len(designs)), key=lambda i: (designs[i].v, designs[i].blocks))
+    assert sorted(range(len(designs)), key=lambda i: iso._order_key(designs[i])) == order
 
 
 def test_class_representatives(psl33):

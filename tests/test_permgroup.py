@@ -133,6 +133,19 @@ def test_index_arithmetic(sym4):
         assert (sym4.element(i) * sym4.element(sym4.inv(i))).is_identity()
 
 
+@pytest.mark.parametrize("group", ["sym4", "psl33", "pgl33"])
+def test_inverse_indices_invert_every_element(request, group):
+    # row inv[i] undoes row i, which is T[i, inv[i]] == 0 without the table
+    G = request.getfixturevalue(group)
+    rows = G.images_array()
+    inv = G.inverse_indices()
+    composed = np.take_along_axis(rows[inv], rows.astype(np.int64), axis=1)
+    assert (composed == np.arange(G.degree)).all()
+    assert (inv[inv] == np.arange(G.order)).all()
+    if group == "sym4":
+        assert (G.mul_table()[np.arange(G.order), inv] == 0).all()
+
+
 def test_element_orders(sym4):
     orders = Counter(int(o) for o in sym4.element_orders())
     assert orders == {1: 1, 2: 9, 3: 8, 4: 6}
@@ -421,7 +434,8 @@ def _two_generated_class_reps(G: pg.GroupTable) -> set[tuple[int, ...]]:
 
 
 def test_subgroups_of_order_s5_against_oracle(sym5):
-    # m = 30 and 60 and 120 take the unrestricted closure (three primes)
+    # m = 60 and 120 take the unrestricted closure (A5 has order 60); m = 30
+    # has three primes but only solvable groups divide it
     oracle = _two_generated_class_reps(sym5)
     assert len(oracle) == 19
     for m in (1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60, 120):
@@ -432,8 +446,9 @@ def test_subgroups_of_order_s5_against_oracle(sym5):
 
 
 def test_subgroups_of_order_78_is_fast_and_empty(psl33):
-    # 78 = 2*3*13 takes the unrestricted closure; a lattice that kept every
-    # conjugate took 102 s on 2 vCPUs
+    # 78 = 2*3*13 has three primes: the unrestricted closure with a lattice
+    # that kept every conjugate took 102 s on 2 vCPUs; only solvable groups
+    # divide 78, so it now takes the normalizing route
     t0 = time.perf_counter()
     assert pg.subgroups_of_order(psl33, 78) == []
     assert time.perf_counter() - t0 < 10.0
