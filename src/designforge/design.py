@@ -84,6 +84,17 @@ class Design:
         return f"Design(v={self.v}, k={self.k}, b={self.b})"
 
 
+def order_key(D: Design) -> tuple[int, tuple[int, ...], bytes]:
+    """The canonical design order: sorts designs exactly as (v, blocks) tuples
+    do, without building them.
+
+    Blocks of different sizes never compare equal, so the first block
+    decides between designs with different k; for equal k the big-endian
+    bytes of the block array compare block by block, a prefix first.
+    """
+    return D.v, tuple(D.array[0].tolist()), D.array.astype(">i8").tobytes()
+
+
 @dataclass(frozen=True)
 class DesignParams:
     """Admissible parameter set of a t-design, with derived counts."""

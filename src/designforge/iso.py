@@ -43,7 +43,7 @@ from itertools import chain
 
 import numpy as np
 
-from .design import Design
+from .design import Design, order_key
 
 _U64 = np.uint64
 _RNG_WEIGHTS = np.random.default_rng(0x5EED5EED).integers(
@@ -209,11 +209,6 @@ def _refine(
     return pc, bc
 
 
-def _class_profile(colors: np.ndarray) -> tuple[tuple[int, int], ...]:
-    vals, counts = np.unique(colors, return_counts=True)
-    return tuple(sorted((int(v), int(c)) for v, c in zip(vals, counts)))
-
-
 def _initial_colors(pre: _Precomp) -> tuple[np.ndarray, np.ndarray]:
     pc = _row_multiset_hash(pre.pairs[2].view(np.int64))
     bc = np.full(pre.design.b, 2, dtype=_U64)
@@ -288,9 +283,9 @@ def _search(
 ) -> tuple[int, ...] | None:
     pc1, bc1 = _refine(pre1, pc1, bc1)
     pc2, bc2 = _refine(pre2, pc2, bc2)
-    if _class_profile(pc1) != _class_profile(pc2):
+    if _histogram(pc1) != _histogram(pc2):
         return None
-    if _class_profile(bc1) != _class_profile(bc2):
+    if _histogram(bc1) != _histogram(bc2):
         return None
     vals, counts = np.unique(pc1, return_counts=True)
     nonsingle = counts > 1
@@ -344,22 +339,6 @@ def verify_bijection(D1: Design, D2: Design, pi: tuple[int, ...]) -> bool:
     return D1.relabel(pi) == D2
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def iso_classes(designs: list[Design]) -> list[list[int]]:
     """Partition input indices into isomorphism classes.
 
@@ -370,7 +349,7 @@ def iso_classes(designs: list[Design]) -> list[list[int]]:
     Classes are ordered by the lexicographically least canonical block set
     they contain; the partition is independent of the input order.
     """
-    uf = _UnionFind(len(designs))
+    label: list[int] = []  # label[i]: the first design of design i's class
     visited: dict[Design, int] = {}
     learned: dict[bytes, np.ndarray] = {}
     reps: dict[tuple, list[int]] = {}  # block histograms -> class representatives
@@ -380,7 +359,7 @@ def iso_classes(designs: list[Design]) -> list[list[int]]:
         hit = next((visited[E] for E in images if E in visited), None)
         visited.setdefault(D, i)
         if hit is not None:
-            uf.union(hit, i)
+            label.append(label[hit])
             continue
         pre = _Precomp(D)
         bucket = reps.setdefault((D.v, D.b, D.k, _block_histograms(pre)), [])
@@ -395,33 +374,20 @@ def iso_classes(designs: list[Design]) -> list[list[int]]:
                 continue
             cert = _are_isomorphic(r_pre or _Precomp(designs[r]), pre, fps[r], fps[i])
             if cert.isomorphic:
-                uf.union(r, i)
+                label.append(label[r])
                 pi = np.array(cert.bijection, dtype=np.int64)
                 for g in (pi, np.argsort(pi)):
                     learned.setdefault(g.tobytes(), g)
                 break
         else:
             bucket.append(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(designs)):
-        groups.setdefault(uf.find(i), []).append(i)
-    classes = sorted(
-        (sorted(members) for members in groups.values()),
-        key=lambda cls: min(_order_key(designs[i]) for i in cls),
-    )
-    return classes
-
-
-def _order_key(D: Design) -> tuple[int, tuple[int, ...], bytes]:
-    """Sorts designs exactly as (v, blocks) tuples do, without building them.
-
-    Blocks of different sizes never compare equal, so the first block
-    decides between designs with different k; for equal k the big-endian
-    bytes of the block array compare block by block, a prefix first.
-    """
-    return D.v, tuple(D.array[0].tolist()), D.array.astype(">i8").tobytes()
+            label.append(i)
+    classes: dict[int, list[int]] = {}
+    for i, first in enumerate(label):
+        classes.setdefault(first, []).append(i)
+    return sorted(classes.values(), key=lambda cls: min(order_key(designs[i]) for i in cls))
 
 
 def class_representatives(designs: list[Design], classes: list[list[int]]) -> list[int]:
     """Index of the lexicographically least design in each class."""
-    return [min(cls, key=lambda i: _order_key(designs[i])) for cls in classes]
+    return [min(cls, key=lambda i: order_key(designs[i])) for cls in classes]

@@ -9,7 +9,6 @@ accidental use on groups that are too large for that.
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -66,9 +65,6 @@ class Permutation:
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(tuple(inv))
-
-    def order(self) -> int:
-        return math.lcm(1, *(len(c) for c in self.cycles()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point, sorted."""
@@ -279,10 +275,7 @@ class GroupTable:
 
     def mul(self, i: int, j: int) -> int:
         """Index of element_i * element_j (left-to-right composition)."""
-        if self._mul_table is not None:
-            return int(self._mul_table[i, j])
-        row = self._imgs[j][self._imgs[i]]
-        return self._index[row.tobytes()]
+        return int(self.mul_table()[i, j])
 
     def inv(self, i: int) -> int:
         return int(self.inverse_indices()[i])
@@ -301,25 +294,18 @@ class GroupTable:
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            if self._mul_table is not None:
-                T = self._mul_table
-                orders = np.zeros(self.order, dtype=np.int64)
-                orders[0] = 1
-                cur = np.arange(self.order, dtype=np.int64)
-                alive = np.flatnonzero(cur)
-                k = 1
-                while alive.size:
-                    k += 1
-                    cur[alive] = T[cur[alive], alive]
-                    done = alive[cur[alive] == 0]
-                    orders[done] = k
-                    alive = alive[cur[alive] != 0]
-            else:
-                orders = np.fromiter(
-                    (self.element(i).order() for i in range(self.order)),
-                    dtype=np.int64,
-                    count=self.order,
-                )
+            T = self.mul_table()
+            orders = np.zeros(self.order, dtype=np.int64)
+            orders[0] = 1
+            cur = np.arange(self.order, dtype=np.int64)
+            alive = np.flatnonzero(cur)
+            k = 1
+            while alive.size:
+                k += 1
+                cur[alive] = T[cur[alive], alive]
+                done = alive[cur[alive] == 0]
+                orders[done] = k
+                alive = alive[cur[alive] != 0]
             self._orders = orders
         return self._orders
 
@@ -504,6 +490,16 @@ def _normalizing(
     for g in gens:
         ys = ys[in_H[T[T[inv[ys], g], ys]]]
     return ys
+
+
+def normalizer(H: Subgroup) -> Subgroup:
+    """N_G(H) = {y : y^-1 H y = H}, by `_normalizing` with H's elements as generators."""
+    G = H.parent
+    in_H = np.zeros(G.order, dtype=bool)
+    in_H[list(H.indices)] = True
+    everything = np.arange(G.order, dtype=np.int64)
+    ys = _normalizing(G.mul_table(), G.inverse_indices(), in_H, H.indices, everything)
+    return Subgroup(G, tuple(ys.tolist()))
 
 
 def _closure_capped(

@@ -1,8 +1,9 @@
 """Exhaustive enumeration of block-transitive 2-(k^2, k, lambda) designs for a
 materialized group: candidate base blocks are unions of orbits of stabilizer-
-sized subgroups, filtered by an exact pair-orbit proportionality test, then
-verified by orbit size (which fixes the set-stabilizer order) and full pair
-counting.
+sized subgroups, filtered by an exact pair-orbit proportionality test, cut to
+the least member of each orbit of the subgroup's normalizer (so each design is
+reached from one candidate; see `run`), then verified by orbit size (which
+fixes the set-stabilizer order) and full pair counting.
 """
 
 from __future__ import annotations
@@ -13,9 +14,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .design import Design, is_flag_transitive, lambda_of
+from .design import Design, is_flag_transitive, lambda_of, order_key
 from .iso import class_representatives, iso_classes
-from .permgroup import GroupTable, Subgroup, orbits, set_orbit, set_stabilizer, subgroups_of_order
+from .permgroup import (
+    GroupTable,
+    Subgroup,
+    normalizer,
+    orbits,
+    set_orbit,
+    set_stabilizer,
+    subgroups_of_order,
+)
 
 MAX_CANDIDATES = 1_000_000
 _CHUNK = 16384
@@ -72,11 +81,16 @@ class SearchResult:
     note: str | None = None
 
 
-def _orbit_union_plan(H: Subgroup, k: int):
-    """(total count, composition patterns, orbits grouped by length)."""
-    orbs = orbits(H)
+def _candidate_chunks(H: Subgroup, k: int, max_candidates: int = MAX_CANDIDATES):
+    """Yield (n, k) int arrays of candidate point sets, in deterministic order:
+    every union of H-orbits with k points, each row sorted.
+
+    The orbits and the composition patterns (how many orbits of each length)
+    are computed once; more than max_candidates candidates raise
+    CandidateExplosionError before the first chunk is yielded.
+    """
     by_len: dict[int, list[tuple[int, ...]]] = {}
-    for orb in orbs:
+    for orb in orbits(H):
         by_len.setdefault(len(orb), []).append(orb)
     lengths = sorted(by_len)
     patterns: list[tuple[tuple[int, int], ...]] = []
@@ -97,15 +111,14 @@ def _orbit_union_plan(H: Subgroup, k: int):
                 acc.pop()
 
     rec(0, k, [])
-    count = sum(
+    total = sum(
         math.prod(math.comb(len(by_len[ln]), c) for ln, c in pattern) for pattern in patterns
     )
-    return count, patterns, by_len
-
-
-def _candidate_chunks(H: Subgroup, k: int):
-    """Yield (n, k) int arrays of candidate point sets, in deterministic order."""
-    _, patterns, by_len = _orbit_union_plan(H, k)
+    if total > max_candidates:
+        raise CandidateExplosionError(
+            f"{total} orbit-union candidates for one subgroup class exceed "
+            f"the {max_candidates} guard"
+        )
     for pattern in patterns:
         groups = []
         for ln, c in pattern:
@@ -113,9 +126,9 @@ def _candidate_chunks(H: Subgroup, k: int):
             combos = np.array(list(combinations(range(len(by_len[ln])), c)), dtype=np.int64)
             groups.append(orb_arr[combos].reshape(len(combos), c * ln))
         sizes = [g.shape[0] for g in groups]
-        total = math.prod(sizes)
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
+        count = math.prod(sizes)
+        for start in range(0, count, _CHUNK):
+            stop = min(start + _CHUNK, count)
             idx = np.arange(start, stop, dtype=np.int64)
             parts = []
             rem = idx
@@ -169,12 +182,28 @@ def _proportionality_filter(
 def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
     """Enumerate all block-transitive 2-(k^2,k,lambda) designs for the job.
 
-    For each conjugacy class of subgroups of the forced stabilizer order,
-    every union of orbits of the class representative with k points is a
+    For each conjugacy class of subgroups of the forced stabilizer order m,
+    every union of orbits of the class representative H with k points is a
     candidate base block; a candidate is accepted iff its orbit has exactly b
     blocks and covers every point pair exactly lambda times.  By orbit-
     stabilizer, b = |G|/m blocks in the orbit is the same as a set stabilizer
     of exactly the forced order m.
+
+    Each design is reached from exactly one candidate, the least of its
+    H-invariant blocks, so no state is shared across candidates:
+
+    * Let B be an accepted candidate for H.  Its orbit has b blocks and
+      H <= G_B, so G_B = H.
+    * Another block B^g of the same design is H-invariant iff H <= G_(B^g) =
+      g^-1 H g, that is iff g is in N_G(H).  So the design's H-invariant
+      blocks form one N_G(H)-orbit.
+    * Every block in that orbit is a candidate: it is an H-invariant k-set,
+      so a union of H-orbits, and the proportionality filter is G-invariant.
+    * Designs from different classes have non-conjugate block stabilizers,
+      so they are disjoint.
+
+    So a filter survivor is processed only when it is the least member of
+    its N_G(H)-orbit.
     """
     G = job.group
     m = job.stabilizer_order
@@ -182,38 +211,23 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
         return SearchResult(job, [], [], 0, 0, 0, note="inadmissible block count")
     labels, sizes = _pair_orbit_table(G)
     rows = G.images_array()
-    classes = subgroups_of_order(G, m, size_bound=max(m, 256))
-    # designs are keyed by big-endian int64 bytes: all have the same (b, k)
-    # shape, so sorting the keys sorts them by their block tuples; blocks are
-    # keyed by native int64 row bytes, as the candidate rows are
-    found: dict[bytes, Design] = {}
-    member_blocks: set[bytes] = set()
+    designs: list[Design] = []
     tested = 0
-    for H in classes:
-        total, _, _ = _orbit_union_plan(H, job.k)
-        if total > max_candidates:
-            raise CandidateExplosionError(
-                f"{total} orbit-union candidates for one subgroup class exceed "
-                f"the {max_candidates} guard"
-            )
-        for chunk in _candidate_chunks(H, job.k):
+    for H in subgroups_of_order(G, m, size_bound=max(m, 256)):
+        normalizer_rows = normalizer(H).images_array()
+        for chunk in _candidate_chunks(H, job.k, max_candidates):
             tested += len(chunk)
             keep = _proportionality_filter(chunk, labels, sizes, job.lam, job.b)
             for base in chunk[keep]:
-                if base.tobytes() in member_blocks:
+                if not np.array_equal(set_orbit(normalizer_rows, base)[0], base):
                     continue
                 orbit = set_orbit(rows, base)
                 if len(orbit) != job.b:
                     continue
                 D = Design(G.degree, orbit)
-                if lambda_of(D, 2) != job.lam:
-                    continue
-                key = D.array.astype(">i8").tobytes()
-                if key not in found:
-                    found[key] = D
-                    member_blocks.update(D.array.view(f"V{8 * job.k}").ravel().tolist())
-    del member_blocks  # not needed again; freed before the iso stage's peak
-    designs = [found[key] for key in sorted(found)]
+                if lambda_of(D, 2) == job.lam:
+                    designs.append(D)
+    designs.sort(key=order_key)
     if not designs:
         return SearchResult(job, [], [], 0, 0, tested)
     classes_idx = iso_classes(designs)

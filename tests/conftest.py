@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from designforge import data_path
+from designforge import screen as sc
 from designforge.permgroup import GroupTable, parse_cycles
 
 # base blocks of the three reference designs (1-based published labels)
@@ -31,3 +34,11 @@ def sym4() -> GroupTable:
 @pytest.fixture(scope="session")
 def sym3() -> GroupTable:
     return GroupTable.generate([parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)])
+
+
+@pytest.fixture(scope="session")
+def screen_reports():
+    """The default screen over every family, run once: (reports, elapsed seconds)."""
+    t0 = time.time()
+    reports = sc.case_screen()
+    return reports, time.time() - t0

@@ -19,6 +19,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from designforge import data_path
@@ -135,6 +136,71 @@ def test_criterion_3_lambda12_representatives_pinned(psl_sweep):
     assert hashlib.sha256(blocks.encode()).hexdigest() == LAMBDA12_REPRESENTATIVES_SHA256
 
 
+# per class of order-3 subgroups H, in class order: |N_G(H)|, filter
+# survivors, canonical survivors (least in their N_G(H)-orbit), accepted designs
+LAMBDA12_AUDIT = [(18, 1056, 176, 174), (108, 288, 8, 8)]
+
+
+def _fixed_blocks(K: pg.Subgroup, D: dz.Design) -> np.ndarray:
+    """Mask of the blocks of D that K fixes setwise: one gather of K's rows."""
+    return (np.sort(K.images_array()[:, D.array], axis=2) == D.array).all(axis=(0, 2))
+
+
+def test_criterion_3_lambda12_mass_audit(psl33, psl_sweep):
+    # completeness of the lambda = 12 enumeration: every filter survivor is an
+    # H-invariant block of an accepted design, or an N_G(H)-image of one of
+    # the two canonical survivors whose orbits are the lambda = 3 block sets
+    results, _ = psl_sweep
+    job = sr.SearchJob(psl33, 12, 12)
+    labels, sizes = sr._pair_orbit_table(psl33)
+    rows = psl33.images_array()
+    classes = pg.subgroups_of_order(psl33, job.stabilizer_order)
+    figures, accepted, rejected = [], [], []
+    for H in classes:
+        N = pg.normalizer(H)
+        n_rows = N.images_array()
+        survivors = [
+            base
+            for chunk in sr._candidate_chunks(H, job.k)
+            for base in chunk[sr._proportionality_filter(chunk, labels, sizes, job.lam, job.b)]
+        ]
+        canonical = [b for b in survivors if np.array_equal(pg.set_orbit(n_rows, b)[0], b)]
+        designs, audited = [], set()
+        for base in canonical:
+            D = dz.Design(psl33.degree, pg.set_orbit(rows, base))
+            if D.b == job.b and dz.lambda_of(D, 2) == job.lam:
+                designs.append(D)
+                invariant = D.array[_fixed_blocks(H, D)]
+            else:
+                rejected.append((H, base, D))
+                invariant = pg.set_orbit(n_rows, base)
+            audited.update(map(tuple, invariant.tolist()))
+        assert audited == {tuple(b) for b in np.array(survivors).tolist()}
+        figures.append((N.order, len(survivors), len(canonical), len(designs)))
+        accepted.append(designs)
+    assert figures == LAMBDA12_AUDIT
+    assert [psl33.order // n for n, *_ in figures] == [312, 52]
+    # each design has |N_G(H)|/|H| blocks fixed by its own class
+    # representative H, and none fixed by the other
+    for own, designs in enumerate(accepted):
+        for D in designs:
+            fixed = [int(_fixed_blocks(K, D).sum()) for K in classes]
+            assert fixed == [[6, 0], [0, 36]][own]
+    # the other 12 survivors: 2 canonical survivors with set stabilizer of
+    # order 12, whose 468-block orbits are the two lambda = 3 block sets,
+    # and their N_G(H)-images
+    assert [H for H, _, _ in rejected] == [classes[0], classes[0]]
+    assert all(pg.set_stabilizer(psl33, base).order == 12 for _, base, _ in rejected)
+    lam3 = [D for _, _, D in rejected]
+    assert [D.b for D in lam3] == [468, 468] and lam3[0] != lam3[1]
+    assert all(dz.lambda_of(D, 2) == 3 for D in lam3)
+    assert results[3].distinct_block_sets == 2 and results[3].designs[0] in lam3
+    # the search reaches exactly these 182 designs
+    found = {D for designs in accepted for D in designs}
+    assert len(found) == results[12].distinct_block_sets == 182
+    assert all(D in found for D in results[12].designs)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=(
@@ -189,11 +255,9 @@ def test_criterion_4_sweep(pgl33, pgl_sweep):
 # criterion 5: screening end-to-end
 
 
-def test_criterion_5_screen_survivors():
-    t0 = time.time()
-    reports = sc.case_screen()
+def test_criterion_5_screen_survivors(screen_reports):
+    reports, elapsed = screen_reports
     surv = sc.survivors(reports)
-    elapsed = time.time() - t0
     got = sorted((r.case.n, r.case.q.q, r.v, r.candidate_k) for r in surv)
     assert got == [(3, 3, 144, 12), (4, 7, 400, 20), (5, 3, 121, 11)]
     # every base printed in a factorization is prime ("0" and "1" have none)

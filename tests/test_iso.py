@@ -270,7 +270,7 @@ def test_order_key_sorts_as_block_tuples():
     ]
     designs += [dz.Design(8, D.blocks[:1]) for D in designs[::4]]
     order = sorted(range(len(designs)), key=lambda i: (designs[i].v, designs[i].blocks))
-    assert sorted(range(len(designs)), key=lambda i: iso._order_key(designs[i])) == order
+    assert sorted(range(len(designs)), key=lambda i: dz.order_key(designs[i])) == order
 
 
 def test_class_representatives(psl33):

@@ -356,7 +356,9 @@ def test_normalizing_matches_definition(request, group, orders):
             in_H[list(sub.indices)] = True
             gens = _small_generating_set(T, sub.indices)
             got = pg._normalizing(T, inv, in_H, gens, everything)
-            assert [int(x) for x in got] == _normalizer_by_definition(G, sub.indices)
+            expected = _normalizer_by_definition(G, sub.indices)
+            assert [int(x) for x in got] == expected
+            assert list(pg.normalizer(sub).indices) == expected
 
 
 # (group, m, classes, sha256 of json.dumps of the representative index tuples)

@@ -244,8 +244,8 @@ def test_c6_derived_list():
 
 
 @pytest.fixture(scope="module")
-def all_reports():
-    return sc.case_screen()
+def all_reports(screen_reports):
+    return screen_reports[0]
 
 
 def test_screen_survivors_exactly_three(all_reports):
