@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, pairwise
 
 # Witnesses proving primality deterministically for n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -14,9 +15,26 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRIME_LIMIT = 1000
 _small_primes: list[int] = []
 
+# Splitting a composite cofactor: a short Brent run (cycle length up to
+# _BRENT_SHORT_R), then one Pollard p-1 run with these bounds, then full Brent
+# runs (cycle length up to _BRENT_MAX_R).  A prime factor of a cyclotomic
+# value Phi_d(q) that does not divide d is 1 mod d, and the screen's hard
+# cofactors have a prime p with p - 1 smooth enough for p-1 where rho needs
+# ~sqrt(p) steps.
+_BRENT_SHORT_R = 1 << 13
+_BRENT_MAX_R = 1 << 22
+_PM1_B1 = 50_000
+_PM1_B2 = 2_000_000
+_PM1_BLOCK = 1024
+# Built on the first p-1 call: [E, p0, half_gaps, max(half_gaps)], where E is
+# the product of the prime powers <= B1, p0 the largest prime <= B1, and
+# half_gaps[i] half the gap from the i-th to the (i+1)-th prime in p0,
+# next_prime(p0), ..., <= B2.
+_pm1_tables: list = []
+
 
 class FactorizationError(ArithmeticError):
-    """A composite cofactor resisted every Pollard-Brent attempt allowed."""
+    """A composite cofactor resisted every splitting attempt allowed."""
 
 
 def _sieve_small() -> list[int]:
@@ -58,8 +76,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int, seed: int = 1) -> int:
-    """One Brent-cycle attempt; returns a nontrivial factor or n on failure."""
+def _pollard_brent(n: int, seed: int = 1, max_r: int = _BRENT_MAX_R) -> int:
+    """One Brent-cycle attempt; returns a nontrivial factor or n on failure.
+
+    The attempt gives up once the cycle length r would exceed max_r.
+    """
     if n % 2 == 0:
         return 2
     y, c, m = seed % n or 1, seed % n or 1, 128
@@ -78,7 +99,7 @@ def _pollard_brent(n: int, seed: int = 1) -> int:
             g = math.gcd(q, n)
             k += m
         r *= 2
-        if r > 1 << 22:
+        if r > max_r:
             return n
     if g == n:
         while True:
@@ -89,11 +110,72 @@ def _pollard_brent(n: int, seed: int = 1) -> int:
     return g
 
 
+def _pm1_setup() -> list:
+    """Build the p-1 tables once, from an odd-only sieve up to B2."""
+    if not _pm1_tables:
+        half = _PM1_B2 // 2 + 1  # index i stands for 2i + 1
+        sieve = bytearray([1]) * half
+        sieve[0] = 0
+        for i in range(1, (math.isqrt(_PM1_B2) + 1) // 2):
+            if sieve[i]:
+                p = 2 * i + 1
+                sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
+        exponent = 1 << (_PM1_B1.bit_length() - 1)
+        p0 = 2
+        for p in compress(range(1, _PM1_B1 + 1, 2), sieve[: (_PM1_B1 + 1) // 2]):
+            power = p
+            while power * p <= _PM1_B1:
+                power *= p
+            exponent *= power
+            p0 = p
+        stage2 = compress(range(p0, _PM1_B2 + 1, 2), memoryview(sieve)[p0 // 2 :])
+        half_gaps = bytes((b - a) // 2 for a, b in pairwise(stage2))
+        _pm1_tables.extend((exponent, p0, half_gaps, max(half_gaps)))
+    return _pm1_tables
+
+
+def _pollard_pm1(n: int) -> int:
+    """One Pollard p-1 run on odd n: a factor of n, or 1 or n on failure.
+
+    Stage 1 finds p | n when every prime power in p - 1 is <= B1; stage 2
+    also finds it when p - 1 has one more prime in (B1, B2].
+    """
+    exponent, p0, half_gaps, max_half_gap = _pm1_setup()
+    x = pow(2, exponent, n)
+    g = math.gcd(x - 1, n)
+    if g != 1:
+        return g
+    x2 = x * x % n
+    steps = [1, x2]  # steps[h] = x^(2h)
+    for _ in range(max_half_gap - 1):
+        steps.append(steps[-1] * x2 % n)
+    y = pow(x, p0, n)
+    for start in range(0, len(half_gaps), _PM1_BLOCK):
+        block, y_start, acc = half_gaps[start : start + _PM1_BLOCK], y, 1
+        for h in block:
+            y = y * steps[h] % n
+            acc = acc * (y - 1) % n
+        g = math.gcd(acc, n)
+        if g == n:  # two factors in one block: replay it one gcd at a time
+            y = y_start
+            for h in block:
+                y = y * steps[h] % n
+                g = math.gcd(y - 1, n)
+                if g != 1:
+                    return g
+        if g != 1:
+            return g
+    return 1
+
+
 def factorize(n: int, effort: int = 8) -> dict[int, int]:
     """Factor n > 0 into prime powers; every key is prime.
 
-    Raises FactorizationError when a composite cofactor resists `effort`
-    Pollard-Brent rounds, rather than returning it as a key.
+    A composite cofactor is split by a short Pollard-Brent run, then one
+    Pollard p-1 run, then Pollard-Brent with seeds 1..effort; the first two
+    belong to the first of the `effort` attempts, so effort=0 tries nothing.
+    Raises FactorizationError when a cofactor resists them all, rather than
+    returning it as a key.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -119,14 +201,19 @@ def factorize(n: int, effort: int = 8) -> dict[int, int]:
             stack.extend((root, root))
             continue
         d = m
+        if effort > 0:
+            d = _pollard_brent(m, 1, _BRENT_SHORT_R)
+            if d == m:
+                d = _pollard_pm1(m)
         for seed in range(1, effort + 1):
-            d = _pollard_brent(m, seed)
             if d not in (1, m):
                 break
+            d = _pollard_brent(m, seed)
         if d in (1, m):
-            raise FactorizationError(
-                f"composite cofactor {m} of {n} not split in {effort} Pollard-Brent rounds"
-            )
+            tried = f"{effort} Pollard-Brent rounds"
+            if effort > 0:
+                tried += f" and a Pollard p-1 run to B1={_PM1_B1}, B2={_PM1_B2}"
+            raise FactorizationError(f"composite cofactor {m} of {n} not split by {tried}")
         stack.extend((d, m // d))
     return factors
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,58 @@ def test_factorize_raises_when_effort_runs_out():
         nt.factorize(n, effort=0)
     assert issubclass(nt.FactorizationError, ArithmeticError)
     assert nt.factorize(n) == {1000003: 1, 1000033: 1}
+
+
+def test_pollard_pm1_splits_smooth_factor():
+    # v = 881·p·q for the screen case C1(n=11,q=971,i=1), rho's slowest:
+    # p - 1 = 2^3·7·11·31·103·179·201359, so p-1 finds p in stage 2,
+    # while q - 1 has the prime factor 10051797671
+    p, q = 70893057541769, 11941535633149
+    assert nt._pollard_pm1(p * q) == p
+    assert nt.factorize(p * q) == {p: 1, q: 1}
+
+
+def test_pollard_pm1_replays_a_block_holding_both_factors():
+    # p - 1 = 2·50021 and q - 1 = 2·50051: both stage-2 primes fall in the
+    # first block, whose product then is 0 mod pq
+    p, q = 100043, 100103
+    assert nt._pollard_pm1(p * q) == p
+
+
+def test_pollard_pm1_fails_and_rho_still_splits():
+    # p - 1 = 2·500000003 and q - 1 = 2·1000000289, both primes above B2
+    p, q = 1000000007, 2000000579
+    n = p * q
+    assert nt._pollard_brent(n, 1, nt._BRENT_SHORT_R) == n
+    assert nt._pollard_pm1(n) in (1, n)
+    assert nt.factorize(n) == {p: 1, q: 1}
+
+
+def test_factorization_error_names_what_ran(monkeypatch):
+    with pytest.raises(nt.FactorizationError, match=r"by 0 Pollard-Brent rounds$"):
+        nt.factorize(1000003 * 1000033, effort=0)
+    # with rho disabled, p-1 alone meets a number it cannot split
+    monkeypatch.setattr(nt, "_pollard_brent", lambda n, seed=1, max_r=0: n)
+    with pytest.raises(nt.FactorizationError) as err:
+        nt.factorize(1000000007 * 2000000579, effort=2)
+    assert str(err.value).endswith(
+        "by 2 Pollard-Brent rounds and a Pollard p-1 run to B1=50000, B2=2000000"
+    )
+
+
+def test_pm1_tables_not_built_at_import():
+    # p-1's tables are built on first use, so importing the CLI stays cheap
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import designforge.cli, designforge.numtheory as nt; print(len(nt._pm1_tables))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert proc.stdout.strip() == "0"
 
 
 def test_factorization_string():

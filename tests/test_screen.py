@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -264,6 +266,15 @@ def test_screen_factorizations_multiply_back(all_reports):
     for r in all_reports:
         if r.v is not None:
             assert nt.parse_factorization(r.v_factorization) == r.v
+
+
+def test_screen_factorizations_pinned(all_reports):
+    # sha256 of every case's label and factorization strings; any change to
+    # how numtheory.factorize splits must leave these strings as they are
+    rows = [(r.case.label(), r.v_factorization, r.v_fraction) for r in all_reports]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert len(rows) == 2392
+    assert digest == "353bde17261db2a20f91ebc5e94dbae59b3ef329f22a8e4ea1d7d7cccec90499"
 
 
 def test_screen_survivor_p_coprime(all_reports):
