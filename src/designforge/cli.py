@@ -139,9 +139,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     gens_path = Path(args.gens)
     group = GroupTable.from_file(args.gens, cap=cap)
     k = args.k
-    if group.degree != k * k:
-        print(f"error: group degree {group.degree} != k^2 = {k*k}", file=sys.stderr)
-        return EXIT_PRECONDITION
     if args.all:
         results = full_sweep(group, k, include_lambda_1=args.include_lambda_1)
     else:

@@ -10,10 +10,11 @@ reach in regular designs.  Every bijection returned is verified to map the
 first block set exactly onto the second, so hashed color signatures can never
 produce a false positive; they only steer and prune the search.
 
-Per design, `_Precomp` holds the block-intersection matrix; the pair
-signatures (from one sort of every pair of every block) and the stable
-starting colors are computed on first use and then shared by the
-fingerprint and the backtracking search.
+Per design, `_Precomp` owns every invariant: the block-intersection matrix,
+the pair signatures (from one sort of every pair of every block), the two
+block histograms, the stable starting colors and the fingerprint.  Each is
+computed on first use and kept for the life of the `_Precomp`, so the
+bucketing, the fingerprint and the backtracking search share one copy.
 
 `iso_classes` works in tiers and reuses what it learns:
 
@@ -37,7 +38,7 @@ fingerprint and the backtracking search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 
@@ -85,20 +86,10 @@ class Fingerprint:
     stable_color_histogram: tuple[tuple[int, int], ...]
 
     def first_mismatch(self, other: Fingerprint) -> str | None:
-        for name in (
-            "v",
-            "b",
-            "k",
-            "lam",
-            "intersection_histogram",
-            "block_profile_histogram",
-            "pair_coverage_spectrum",
-            "pair_signature_histogram",
-            "stable_color_histogram",
-        ):
-            if getattr(self, name) != getattr(other, name):
-                return name
-        return None
+        return next(
+            (f.name for f in fields(self) if getattr(self, f.name) != getattr(other, f.name)),
+            None,
+        )
 
 
 @dataclass(frozen=True)
@@ -111,12 +102,16 @@ class IsoCertificate:
 
 
 class _Precomp:
-    """Per-design arrays shared by fingerprinting and the backtracking search."""
+    """Every per-design invariant, each computed on first use and then kept."""
 
     def __init__(self, D: Design):
         self.design = D
-        inc = D.incidence().astype(np.float32)
-        self.meet = (inc @ inc.T).astype(np.uint8)  # exact: entries <= k <= 255
+
+    @cached_property
+    def meet(self) -> np.ndarray:
+        """The b x b block-intersection sizes."""
+        inc = self.design.incidence().astype(np.float32)
+        return (inc @ inc.T).astype(np.uint8)  # exact: entries <= k <= 255
 
     @cached_property
     def pairs(self) -> tuple[int | None, np.ndarray, np.ndarray]:
@@ -160,9 +155,45 @@ class _Precomp:
         return lam, cov, S
 
     @cached_property
+    def block_histograms(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """The block-intersection and block-profile histograms, from `meet` alone."""
+        D = self.design
+        offs = np.arange(D.b, dtype=np.int64) * (D.k + 1)
+        flat = np.bincount((self.meet + offs[:, None]).ravel(), minlength=D.b * (D.k + 1))
+        profile_rows = flat.reshape(D.b, D.k + 1)
+        profile_rows[:, D.k] -= 1  # drop the self-intersection
+        profile_hashes = _row_multiset_hash(
+            profile_rows + np.arange(D.k + 1, dtype=np.int64)[None, :] * 4096
+        )
+        inter = profile_rows.sum(axis=0) // 2  # each unordered pair of blocks, once
+        return (
+            tuple((size, int(c)) for size, c in enumerate(inter) if c),
+            _histogram(profile_hashes),
+        )
+
+    @cached_property
     def colors(self) -> tuple[np.ndarray, np.ndarray]:
         """The stable point and block colours from which every search starts."""
-        return _initial_colors(self)
+        pc = _row_multiset_hash(self.pairs[2].view(np.int64))
+        bc = np.full(self.design.b, 2, dtype=_U64)
+        return _refine(self, pc, bc)
+
+    @cached_property
+    def fingerprint(self) -> Fingerprint:
+        D = self.design
+        intersections, profiles = self.block_histograms
+        lam, cov, sig = self.pairs
+        return Fingerprint(
+            v=D.v,
+            b=D.b,
+            k=D.k,
+            lam=lam,
+            intersection_histogram=intersections,
+            block_profile_histogram=profiles,
+            pair_coverage_spectrum=_histogram(cov[np.triu_indices(D.v, k=1)]),
+            pair_signature_histogram=_histogram(_row_multiset_hash(sig.view(np.int64))),
+            stable_color_histogram=_histogram(np.concatenate(self.colors)),
+        )
 
 
 def _histogram(values: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -170,9 +201,7 @@ def _histogram(values: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((int(v), int(c)) for v, c in zip(vals, counts))
 
 
-def _refine(
-    pre: _Precomp, pc: np.ndarray, bc: np.ndarray, max_rounds: int = 60
-) -> tuple[np.ndarray, np.ndarray]:
+def _refine(pre: _Precomp, pc: np.ndarray, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Refine point/block colors to a stable partition.
 
     Colors are raw 64-bit signatures, so colorings computed independently on
@@ -183,16 +212,21 @@ def _refine(
     all other points.  A block's (intersection size, color) term depends
     only on those two values, so it is looked up in a colors x (k+1) table;
     uint64 sums wrap, so the order of summation does not matter.
+
+    The loop stops after the first round that does not raise the total number
+    of point and block classes.  That total is at most v + b, so the loop ends.
+    The rule reads only the class counts, which isomorphic inputs share, so
+    their colorings stay comparable; barring a 64-bit hash collision each
+    round refines the last, so the stop is the first round that splits nothing.
     """
     arr = pre.design.array
     k = pre.design.k
     meet = pre.meet.astype(np.intp)  # intp indices: numpy gathers them without a cast
     sig = pre.pairs[2]
     sizes = np.arange(k + 1, dtype=_U64) * _U64(0x9DDFEA08EB382D69)
-    n_p = len(np.unique(pc))
     b_vals, b_ids = np.unique(bc, return_inverse=True)
-    n_b = len(b_vals)
-    for _ in range(max_rounds):
+    n_p, n_b = len(np.unique(pc)), len(b_vals)
+    while True:
         table = _mix(_mix(b_vals)[:, None] ^ sizes[None, :])  # row: color, column: size
         bsig = table.ravel()[meet + b_ids * (k + 1)].sum(axis=1)
         bpoint = _mix(pc * _U64(3) + _U64(1))[arr].sum(axis=1)
@@ -203,58 +237,13 @@ def _refine(
         pc = _mix(pc) ^ _mix(pblock) ^ _mix(ppair)
         b_vals, b_ids = np.unique(bc, return_inverse=True)
         m_p, m_b = len(np.unique(pc)), len(b_vals)
-        if (m_p, m_b) == (n_p, n_b):
-            break
+        if m_p + m_b <= n_p + n_b:
+            return pc, bc
         n_p, n_b = m_p, m_b
-    return pc, bc
-
-
-def _initial_colors(pre: _Precomp) -> tuple[np.ndarray, np.ndarray]:
-    pc = _row_multiset_hash(pre.pairs[2].view(np.int64))
-    bc = np.full(pre.design.b, 2, dtype=_U64)
-    return _refine(pre, pc, bc)
 
 
 def fingerprint(D: Design) -> Fingerprint:
-    return _fingerprint(_Precomp(D))
-
-
-def _block_histograms(
-    pre: _Precomp,
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """The block-intersection and block-profile histograms, from `meet` alone."""
-    D = pre.design
-    offs = np.arange(D.b, dtype=np.int64) * (D.k + 1)
-    flat = np.bincount((pre.meet + offs[:, None]).ravel(), minlength=D.b * (D.k + 1))
-    profile_rows = flat.reshape(D.b, D.k + 1)
-    profile_rows[:, D.k] -= 1  # drop the self-intersection
-    profile_hashes = _row_multiset_hash(
-        profile_rows + np.arange(D.k + 1, dtype=np.int64)[None, :] * 4096
-    )
-    inter = profile_rows.sum(axis=0) // 2  # each unordered pair of blocks, once
-    return (
-        tuple((size, int(c)) for size, c in enumerate(inter) if c),
-        _histogram(profile_hashes),
-    )
-
-
-def _fingerprint(pre: _Precomp) -> Fingerprint:
-    D = pre.design
-    intersections, profiles = _block_histograms(pre)
-    lam, cov, sig = pre.pairs
-    ptriu = np.triu_indices(D.v, k=1)
-    pc, bc = pre.colors
-    return Fingerprint(
-        v=D.v,
-        b=D.b,
-        k=D.k,
-        lam=lam,
-        intersection_histogram=intersections,
-        block_profile_histogram=profiles,
-        pair_coverage_spectrum=_histogram(cov[ptriu]),
-        pair_signature_histogram=_histogram(_row_multiset_hash(sig.view(np.int64))),
-        stable_color_histogram=_histogram(np.concatenate([pc, bc])),
-    )
+    return _Precomp(D).fingerprint
 
 
 def _extract_bijection(
@@ -313,23 +302,15 @@ def are_isomorphic(D1: Design, D2: Design) -> IsoCertificate:
     if (D1.v, D1.k) != (D2.v, D2.k):
         raise ValueError("designs must share (v, k)")
     pre1, pre2 = _Precomp(D1), _Precomp(D2)
+    mismatch = pre1.fingerprint.first_mismatch(pre2.fingerprint)
+    if mismatch is not None:
+        return IsoCertificate(False, mismatch=mismatch)
     return _are_isomorphic(pre1, pre2)
 
 
-def _are_isomorphic(
-    pre1: _Precomp,
-    pre2: _Precomp,
-    fp1: Fingerprint | None = None,
-    fp2: Fingerprint | None = None,
-) -> IsoCertificate:
-    fp1 = fp1 or _fingerprint(pre1)
-    fp2 = fp2 or _fingerprint(pre2)
-    mismatch = fp1.first_mismatch(fp2)
-    if mismatch is not None:
-        return IsoCertificate(False, mismatch=mismatch)
-    pc1, bc1 = pre1.colors
-    pc2, bc2 = pre2.colors
-    found = _search(pre1, pre2, pc1, bc1, pc2, bc2, depth=0)
+def _are_isomorphic(pre1: _Precomp, pre2: _Precomp) -> IsoCertificate:
+    """The backtracking decision, for two designs whose fingerprints match."""
+    found = _search(pre1, pre2, *pre1.colors, *pre2.colors, depth=0)
     if found is None:
         return IsoCertificate(False, mismatch="exhausted-backtracking")
     return IsoCertificate(True, bijection=found)
@@ -362,17 +343,16 @@ def iso_classes(designs: list[Design]) -> list[list[int]]:
             label.append(label[hit])
             continue
         pre = _Precomp(D)
-        bucket = reps.setdefault((D.v, D.b, D.k, _block_histograms(pre)), [])
+        bucket = reps.setdefault((D.v, D.b, D.k, pre.block_histograms), [])
         for r in bucket:
             r_pre = None
             if r not in fps:
                 r_pre = _Precomp(designs[r])
-                fps[r] = _fingerprint(r_pre)
-            if i not in fps:
-                fps[i] = _fingerprint(pre)
+                fps[r] = r_pre.fingerprint
+            fps[i] = pre.fingerprint
             if fps[r] != fps[i]:
                 continue
-            cert = _are_isomorphic(r_pre or _Precomp(designs[r]), pre, fps[r], fps[i])
+            cert = _are_isomorphic(r_pre or _Precomp(designs[r]), pre)
             if cert.isomorphic:
                 label.append(label[r])
                 pi = np.array(cert.bijection, dtype=np.int64)

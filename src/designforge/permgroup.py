@@ -20,7 +20,6 @@ import numpy as np
 from .numtheory import factorize
 
 DEFAULT_CAP = 10_000_000
-SUBGROUP_ORDER_BOUND = 256
 # order**2 table entries at 2 bytes each; 16000**2 is ~0.5 GB
 _MUL_TABLE_MAX_ORDER = 16000
 
@@ -197,7 +196,6 @@ class GroupTable:
         self._imgs.setflags(write=False)
         self.order = int(imgs.shape[0])
         self._index = {imgs[i].tobytes(): i for i in range(self.order)}
-        self.generator_indices = tuple(self.index_of(g) for g in generators)
         self._mul_table: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
@@ -532,9 +530,7 @@ def _closure_capped(
     return np.flatnonzero(mask)
 
 
-def subgroups_of_order(
-    G: GroupTable, m: int, size_bound: int = SUBGROUP_ORDER_BOUND
-) -> list[Subgroup]:
+def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
     """All subgroups of order m, one representative per conjugacy class.
 
     Bottom-up lattice closure that stores one subgroup per conjugacy class:
@@ -564,8 +560,6 @@ def subgroups_of_order(
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if m > size_bound:
-        raise ValueError(f"m={m} exceeds the configured size bound {size_bound}")
     if G.order % m:
         warnings.warn(f"m={m} does not divide the group order {G.order}; no subgroups")
         return []

@@ -213,7 +213,7 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
     rows = G.images_array()
     designs: list[Design] = []
     tested = 0
-    for H in subgroups_of_order(G, m, size_bound=max(m, 256)):
+    for H in subgroups_of_order(G, m):
         normalizer_rows = normalizer(H).images_array()
         for chunk in _candidate_chunks(H, job.k, max_candidates):
             tested += len(chunk)

@@ -97,6 +97,7 @@ def test_search_cli_byte_determinism(tmp_path, s4_gens):
 def test_search_cli_degree_mismatch(capsys):
     rc = cli.main(["search", "--gens", data_path("psl33.gens"), "--k", "10", "--lambda", "2"])
     assert rc == cli.EXIT_PRECONDITION
+    assert "error: group degree 144 != k^2 = 100" in capsys.readouterr().err
 
 
 def test_search_cli_lambda_not_dividing(capsys, s4_gens):

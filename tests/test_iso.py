@@ -82,6 +82,18 @@ def test_fingerprint_separates_different_lambda(psl33, pgl33):
     assert fp1.first_mismatch(fp3) is not None
 
 
+def test_fingerprint_mismatch_skips_backtracking(psl33, pgl33, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("backtracking ran on a fingerprint mismatch")
+
+    monkeypatch.setattr(iso, "_are_isomorphic", no_search)
+    D1 = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
+    D3 = dz.from_base_block(pgl33, BASE_BLOCK_LAMBDA6)
+    cert = iso.are_isomorphic(D1, D3)
+    assert not cert.isomorphic
+    assert cert.mismatch == iso.fingerprint(D1).first_mismatch(iso.fingerprint(D3))
+
+
 def _random_designs(n: int, seed: int) -> list[dz.Design]:
     """Designs with uncovered pairs and several coverage counts."""
     rng = random.Random(seed)
@@ -136,6 +148,16 @@ def test_pair_signatures_match_per_point_definition(psl33):
         assert np.array_equal(cov, ref_cov)
         assert np.array_equal(S, ref_S)
         assert lam == dz.lambda_of(D, 2)
+
+
+def test_refine_reaches_a_fixed_point(psl33):
+    designs = [FANO, dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3), *_random_designs(30, 7)]
+    for D in designs:
+        pre = iso._Precomp(D)
+        pc, bc = pre.colors
+        pc2, bc2 = iso._refine(pre, pc, bc)
+        assert len(np.unique(pc2)) == len(np.unique(pc))
+        assert len(np.unique(bc2)) == len(np.unique(bc))
 
 
 @pytest.mark.parametrize("name", ["fano", "lambda3"])

@@ -283,11 +283,6 @@ def test_subgroups_of_order_nondivisor_warns(sym4):
         assert pg.subgroups_of_order(sym4, 5) == []
 
 
-def test_subgroups_of_order_bound(sym4):
-    with pytest.raises(ValueError):
-        pg.subgroups_of_order(sym4, 12, size_bound=8)
-
-
 def test_psl33_order3_classes_against_cyclic_oracle(psl33):
     found = pg.subgroups_of_order(psl33, 3)
     # oracle: partition cyclic order-3 subgroups by conjugacy directly

@@ -113,8 +113,7 @@ def test_s4_sweep(sym4):
 def _filter_survivors(job):
     """Every candidate of every stabilizer class that passes the proportionality filter."""
     labels, sizes = sr._pair_orbit_table(job.group)
-    m = job.stabilizer_order
-    for H in pg.subgroups_of_order(job.group, m, size_bound=max(m, 256)):
+    for H in pg.subgroups_of_order(job.group, job.stabilizer_order):
         for chunk in sr._candidate_chunks(H, job.k):
             keep = sr._proportionality_filter(chunk, labels, sizes, job.lam, job.b)
             yield from (tuple(row) for row in chunk[keep].tolist())
