@@ -277,6 +277,14 @@ def test_screen_factorizations_pinned(all_reports):
     assert digest == "353bde17261db2a20f91ebc5e94dbae59b3ef329f22a8e4ea1d7d7cccec90499"
 
 
+def test_screen_reports_pinned(all_reports):
+    # sha256 of every report's full JSON form: orders, bounds, gates,
+    # subdegrees and notes as well as the point counts
+    doc = json.dumps([r.to_dict() for r in all_reports], sort_keys=True)
+    digest = hashlib.sha256(doc.encode()).hexdigest()
+    assert digest == "3e9bdf794cbe2825e565f4afa34c6b55bf1bee23a3d161af31d4f93451942be8"
+
+
 def test_screen_survivor_p_coprime(all_reports):
     for r in sc.survivors(all_reports):
         if r.case.family != "C1":
