@@ -199,6 +199,8 @@ class GroupTable:
         self._mul_table: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
+        self._pair_orbits: tuple[np.ndarray, np.ndarray] | None = None
+        self._subgroup_classes: dict[int, list[Subgroup]] = {}
 
     # -- construction
 
@@ -393,12 +395,6 @@ class Subgroup:
         """(order, degree) array of the image rows of the elements, in index order."""
         return self.parent.images_array()[np.array(self.indices, dtype=np.int64)]
 
-    def __contains__(self, p: Permutation) -> bool:
-        try:
-            return self.parent.index_of(p) in set(self.indices)
-        except ValueError:
-            return False
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
 
@@ -441,6 +437,24 @@ def orbits(H: Subgroup | GroupTable) -> list[tuple[int, ...]]:
         out.append(tuple(orbit.tolist()))
     out.sort(key=lambda orb: (len(orb), orb[0]))
     return out
+
+
+def pair_orbit_table(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """Label matrix for G-orbits on unordered point pairs, plus orbit sizes."""
+    if G._pair_orbits is None:
+        v = G.degree
+        rows = G.images_array()
+        labels = np.full((v, v), -1, dtype=np.int32)
+        sizes = []
+        for p in range(v):
+            for q in range(p + 1, v):
+                if labels[p, q] >= 0:
+                    continue
+                orbit = set_orbit(rows, (p, q))
+                labels[orbit[:, 0], orbit[:, 1]] = labels[orbit[:, 1], orbit[:, 0]] = len(sizes)
+                sizes.append(len(orbit))
+        G._pair_orbits = (labels, np.array(sizes, dtype=np.int64))
+    return G._pair_orbits
 
 
 def point_stabilizer(G: GroupTable, alpha: int) -> Subgroup:
@@ -565,9 +579,7 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
         return []
     if m == 1:
         return [trivial_subgroup(G)]
-    cache: dict[int, list[Subgroup]] = getattr(G, "_subgroup_class_cache", None) or {}
-    if not hasattr(G, "_subgroup_class_cache"):
-        G._subgroup_class_cache = cache
+    cache = G._subgroup_classes
     if m in cache:
         return list(cache[m])
 

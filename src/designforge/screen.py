@@ -54,10 +54,6 @@ class NonDivisibleError(ScreenError):
     """|H0| does not divide |X|: the case is structurally vacuous."""
 
 
-class BoundOnlyError(ScreenError):
-    """The family has no exact |H0| formula; only an upper bound is available."""
-
-
 # ---------------------------------------------------------------------------
 # classical group orders (exact)
 
@@ -70,8 +66,8 @@ def sl_order(n: int, q: int) -> int:
     return gl_order(n, q) // (q - 1)
 
 
-def pgl_order(n: int, q: int) -> int:
-    return gl_order(n, q) // (q - 1)
+# |PGL(n,q)| = |GL(n,q)|/(q-1) = |SL(n,q)|
+pgl_order = sl_order
 
 
 def x_order(n: int, q: int) -> int:
@@ -238,11 +234,12 @@ def _validate_case(c: CaseSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# H0 orders and point counts
+# H0 orders
 
 
-def h0_order(case: CaseSpec) -> int:
-    """Exact |H0| = |X ∩ G_alpha| for the case, when a closed formula exists."""
+def h0_order(case: CaseSpec) -> tuple[int, bool]:
+    """(|H0|, exact): |H0| = |X ∩ G_alpha| where a closed formula exists,
+    otherwise an upper bound for it (exact is False)."""
     n, q = case.n, case.q.q
     d = math.gcd(n, q - 1)
     fam = case.family
@@ -250,9 +247,11 @@ def h0_order(case: CaseSpec) -> int:
     if fam == "C1":
         value = Fraction(x_order(n, q), gaussian_binomial(n, case.get("i"), q))
     elif fam == "C1'":
-        if case.get("kind") == "contained":
-            raise BoundOnlyError("no exact order for the flag-pair stabilizer")
         i = case.get("i")
+        if case.get("kind") == "contained":
+            # coarse: the full stabilizer of the pair of nested subspaces
+            bound = gl_order(i, q) ** 2 * gl_order(n - 2 * i, q)
+            return bound * q ** (2 * i * (n - 2 * i) + i * i), False
         value = Fraction(sl_order(i, q) * sl_order(n - i, q) * (q - 1), d)
     elif fam == "C2":
         a, e = case.get("a"), case.get("e")
@@ -263,7 +262,8 @@ def h0_order(case: CaseSpec) -> int:
         i, theta = case.get("i"), case.get("theta")
         value = Fraction(sl_order(i, q**theta) * (q**theta - 1) * theta, (q - 1) * d)
     elif fam == "C4":
-        raise BoundOnlyError("tensor-product case screened by bounds only")
+        i = case.get("i")
+        return pgl_order(i, q) * pgl_order(n // i, q), False
     elif fam == "C5":
         q0 = case.get("q0")
         value = Fraction(
@@ -276,9 +276,12 @@ def h0_order(case: CaseSpec) -> int:
         elif n == 3:
             value = Fraction(72)
         else:
-            raise BoundOnlyError("extraspecial normalizer order known exactly only for n = 3")
+            # the extraspecial normalizer's order is known exactly only for n = 3
+            i, omega = case.get("i"), case.get("omega")
+            return omega ** (2 * i) * sp_order(2 * i, omega), False
     elif fam == "C7":
-        raise BoundOnlyError("wreathed tensor case screened by bounds only")
+        i, ell = case.get("i"), case.get("ell")
+        return pgl_order(i, q) ** ell * math.factorial(ell), False
     elif fam == "C8s":
         value = Fraction(sp_order(n, q) * math.gcd(n // 2, q - 1), d)
     elif fam == "C8o":
@@ -295,108 +298,59 @@ def h0_order(case: CaseSpec) -> int:
         raise ScreenError(f"unhandled family {fam}")
     if value.denominator != 1:
         raise NonDivisibleError(f"{case.label()}: stabilizer order formula not integral")
-    return int(value)
-
-
-def h0_upper_bound(case: CaseSpec) -> int:
-    """Upper bound for |H0| in the bound-only families."""
-    n, q = case.n, case.q.q
-    fam = case.family
-    if fam == "C1'" and case.get("kind") == "contained":
-        i = case.get("i")
-        # coarse: the full stabilizer of the pair of nested subspaces
-        return gl_order(i, q) * gl_order(n - 2 * i, q) * gl_order(i, q) * q ** (
-            2 * i * (n - 2 * i) + i * i
-        )
-    if fam == "C4":
-        i = case.get("i")
-        return pgl_order(i, q) * pgl_order(n // i, q)
-    if fam == "C6":
-        i = case.get("i")
-        omega = case.get("omega")
-        return omega ** (2 * i) * sp_order(2 * i, omega)
-    if fam == "C7":
-        i, ell = case.get("i"), case.get("ell")
-        return pgl_order(i, q) ** ell * math.factorial(ell)
-    return h0_order(case)
-
-
-def point_count(case: CaseSpec) -> int:
-    """Exact v = |X| / |H0|; raises NonDivisibleError on inconsistency."""
-    v = point_count_fraction(case)
-    if v.denominator != 1:
-        raise NonDivisibleError(
-            f"{case.label()}: |H0| does not divide |X| (v = {v})"
-        )
-    return int(v)
-
-
-def point_count_fraction(case: CaseSpec) -> Fraction:
-    n, q = case.n, case.q.q
-    if case.family == "C1":
-        return Fraction(gaussian_binomial(n, case.get("i"), q))
-    return Fraction(x_order(n, q), h0_order(case))
+    return int(value), True
 
 
 # ---------------------------------------------------------------------------
 # subdegrees
 
 
-@dataclass(frozen=True)
-class Subdegree:
-    value: int
-    label: str
-
-
-def subdegrees(case: CaseSpec) -> list[Subdegree]:
-    """Known exact subdegrees for the case; empty when none is on record."""
+def subdegrees(case: CaseSpec) -> list[tuple[int, str]]:
+    """Known exact subdegrees for the case as (value, label) pairs; empty when
+    none is on record."""
     n, q = case.n, case.q.q
     fam = case.family
-    out: list[Subdegree] = []
+    out: list[tuple[int, str]] = []
     if fam == "C1":
         i = case.get("i")
         if i == 2:
-            out.append(Subdegree(q * (q + 1) * (q ** (n - 2) - 1) // (q - 1), "line-meeting"))
+            out.append((q * (q + 1) * (q ** (n - 2) - 1) // (q - 1), "line-meeting"))
             out.append(
-                Subdegree(
+                (
                     q**4 * (q ** (n - 2) - 1) * (q ** (n - 3) - 1) // ((q**2 - 1) * (q - 1)),
                     "line-disjoint",
                 )
             )
         else:
             out.append(
-                Subdegree(
-                    q * (q**i - 1) * (q ** (n - i) - 1) // (q - 1) ** 2, "subspace-graph"
-                )
+                (q * (q**i - 1) * (q ** (n - i) - 1) // (q - 1) ** 2, "subspace-graph")
             )
     elif fam == "C1'" and case.get("kind") == "complement":
         i = case.get("i")
         if i == 1:
-            out.append(Subdegree(q ** (n - 2) * (q ** (n - 1) - 1) // (q - 1), "pair-moving"))
+            out.append((q ** (n - 2) * (q ** (n - 1) - 1) // (q - 1), "pair-moving"))
         else:
-            out.append(Subdegree(2 * (q**i - 1) * (q ** (n - i) - 1), "pair-moving"))
+            out.append((2 * (q**i - 1) * (q ** (n - i) - 1), "pair-moving"))
     elif fam == "C2":
         a, e = case.get("a"), case.get("e")
         if e == 1:
-            out.append(Subdegree(2 * n * (n - 1) * (q - 1), "frame-adjacent"))
+            out.append((2 * n * (n - 1) * (q - 1), "frame-adjacent"))
         else:
-            out.append(Subdegree(a * (a - 1) * (q**e - 1) ** 2 // (q - 1), "summand-swap"))
+            out.append((a * (a - 1) * (q**e - 1) ** 2 // (q - 1), "summand-swap"))
     elif fam == "C3":
         theta, i = case.get("theta"), case.get("i")
         if theta == 2 and n >= 8:
-            out.append(Subdegree((q ** (2 * i) - 1) * (q ** (2 * i - 2) - 1), "field-pair"))
+            out.append(((q ** (2 * i) - 1) * (q ** (2 * i - 2) - 1), "field-pair"))
     elif fam == "C5":
         if case.get("u") == 2:
             q0 = case.get("q0")
-            out.append(Subdegree((q0**n - 1) * (q0 ** (n - 1) - 1), "subfield-pair"))
+            out.append(((q0**n - 1) * (q0 ** (n - 1) - 1), "subfield-pair"))
     elif fam == "C8s":
-        out.append(Subdegree((q**n - 1) * (q ** (n - 2) - 1), "nonsingular-pair"))
+        out.append(((q**n - 1) * (q ** (n - 2) - 1), "nonsingular-pair"))
     elif fam == "C8u":
         q0 = case.get("q0")
         out.append(
-            Subdegree(
-                (q0**n - (-1) ** n) * (q0 ** (n - 1) - (-1) ** (n - 1)), "nonsingular-pair"
-            )
+            ((q0**n - (-1) ** n) * (q0 ** (n - 1) - (-1) ** (n - 1)), "nonsingular-pair")
         )
     return out
 
@@ -405,45 +359,34 @@ def subdegrees(case: CaseSpec) -> list[Subdegree]:
 # gates
 
 
-def divisibility_gate(
-    v: int,
-    subs: Sequence[Subdegree] | Sequence[int],
-    out_ord: int,
-    h0: int | None,
-) -> str:
+def divisibility_gate(v: int, subs: Sequence[int], out_ord: int, h0: int) -> str:
     """k+1 must divide gcd(v-1, d) for every subdegree d and gcd(v-1, |Out||H0|)."""
     if not is_perfect_square(v):
         return NA
     k = math.isqrt(v)
     for d in subs:
-        value = d.value if isinstance(d, Subdegree) else int(d)
-        if math.gcd(v - 1, value) % (k + 1):
+        if math.gcd(v - 1, d) % (k + 1):
             return FAIL
-    if h0 is not None and math.gcd(v - 1, out_ord * h0) % (k + 1):
+    if math.gcd(v - 1, out_ord * h0) % (k + 1):
         return FAIL
     return PASS
 
 
-def bound_gate(case: CaseSpec) -> str:
-    """|X| < |Out|^2 |H0| (|H0|_p')^2 and gcd(p, v-1) = 1; parabolic cases exempt."""
+def bound_gate(
+    case: CaseSpec, x: int, out: int, h0: int, exact: bool, v: int | None
+) -> str:
+    """|X| < |Out|^2 |H0| (|H0|_p')^2 and gcd(p, v-1) = 1; parabolic cases exempt.
+
+    When |H0| is only an upper bound it bounds its p'-part too; v is None when
+    no integral point count is known, and then only the inequality applies.
+    """
     if case.family == "C1":
         return NA
-    n, q, p = case.n, case.q.q, case.q.p
-    x = x_order(n, q)
-    out = out_order(n, q)
-    try:
-        h0 = h0_order(case)
-        h0p = p_prime_part(h0, p)
-    except BoundOnlyError:
-        h0 = h0_upper_bound(case)
-        h0p = h0  # upper bound for the p'-part too
+    p = case.q.p
+    h0p = p_prime_part(h0, p) if exact else h0
     if x >= out * out * h0 * h0p * h0p:
         return FAIL
-    try:
-        v = point_count(case)
-    except (NonDivisibleError, BoundOnlyError):
-        return PASS
-    if math.gcd(p, v - 1) != 1:
+    if v is not None and math.gcd(p, v - 1) != 1:
         return FAIL
     return PASS
 
@@ -572,18 +515,11 @@ PUBLISHED_V: dict[str, dict[int, str]] = {
 }
 
 
-def published_table(key: str) -> dict[int, str]:
-    return dict(PUBLISHED_V[key])
-
-
-def _published_note(table_key: str | None, q_key: int | None, value: Fraction) -> list[str]:
-    if table_key is None or q_key is None:
-        return []
-    table = PUBLISHED_V.get(table_key, {})
+def _published_note(table_key: str, q_key: int, value: Fraction) -> list[str]:
+    table = PUBLISHED_V[table_key]
     if q_key not in table:
         return [f"not in the published list for {table_key}"]
-    published = parse_factorization(table[q_key])
-    if published != value:
+    if parse_factorization(table[q_key]) != value:
         return [
             f"published value {table[q_key]} disagrees with exact computation "
             f"{factorization_string(value)}"
@@ -599,64 +535,44 @@ def build_report(
     n, q = case.n, case.q.q
     x = x_order(n, q)
     out = out_order(n, q)
+    h0, exact = h0_order(case)
     all_notes = list(notes)
-    h0: int | None = None
-    h0_bound: int | None = None
-    try:
-        h0 = h0_order(case)
-    except BoundOnlyError:
-        h0_bound = h0_upper_bound(case)
-        all_notes.append("no exact stabilizer order; screened by bounds only")
-
     v: int | None = None
-    v_fraction_str: str | None = None
-    v_value: Fraction | None = None
-    if h0 is not None:
-        v_value = point_count_fraction(case)
+    v_fraction: str | None = None
+    if exact:
+        v_value = Fraction(x, h0)
         if v_value.denominator == 1:
             v = int(v_value)
         else:
-            v_fraction_str = factorization_string(v_value)
-            all_notes.append(
-                "stabilizer order does not divide the socle order; case vacuous"
-            )
-    if published_key and v_value is not None:
-        all_notes.extend(_published_note(published_key[0], published_key[1], v_value))
+            v_fraction = factorization_string(v_value)
+            all_notes.append("stabilizer order does not divide the socle order; case vacuous")
+        if published_key:
+            all_notes.extend(_published_note(*published_key, v_value))
+    else:
+        all_notes.append("no exact stabilizer order; screened by bounds only")
 
-    square = NA
-    cand_k = None
+    square, cand_k = NA, None
     if v is not None:
-        square = PASS if is_perfect_square(v) else FAIL
-        if square == PASS:
-            cand_k = math.isqrt(v)
-
+        k = math.isqrt(v)
+        square, cand_k = (PASS, k) if k * k == v else (FAIL, None)
     subs = subdegrees(case)
-    div = NA
-    if v is not None and square == PASS:
-        div = divisibility_gate(v, subs, out, h0)
-    bound = bound_gate(case)
-
-    survived = (
-        v is not None
-        and square == PASS
-        and div in (PASS, NA)
-        and bound in (PASS, NA)
-    )
+    div = divisibility_gate(v, [d for d, _ in subs], out, h0) if square == PASS else NA
+    bound = bound_gate(case, x, out, h0, exact, v)
     return ScreenReport(
         case=case,
         x_order=x,
         out_order=out,
-        h0_order=h0,
-        h0_bound=h0_bound,
+        h0_order=h0 if exact else None,
+        h0_bound=None if exact else h0,
         v=v,
-        v_fraction=v_fraction_str,
-        v_factorization=factorization_string(v) if v is not None else v_fraction_str,
+        v_fraction=v_fraction,
+        v_factorization=factorization_string(v) if v is not None else v_fraction,
         square_ok=square,
         candidate_k=cand_k,
-        subdegrees=tuple((d.value, d.label) for d in subs),
+        subdegrees=tuple(subs),
         divisibility_ok=div,
         bound_ok=bound,
-        survived=survived,
+        survived=square == PASS and div == PASS and bound != FAIL,
         notes=tuple(all_notes),
     )
 

@@ -21,6 +21,7 @@ from .permgroup import (
     Subgroup,
     normalizer,
     orbits,
+    pair_orbit_table,
     set_orbit,
     set_stabilizer,
     subgroups_of_order,
@@ -140,27 +141,6 @@ def _candidate_chunks(H: Subgroup, k: int, max_candidates: int = MAX_CANDIDATES)
             yield block
 
 
-def _pair_orbit_table(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """Label matrix for G-orbits on unordered point pairs, plus orbit sizes."""
-    cached = getattr(G, "_pair_orbit_cache", None)
-    if cached is not None:
-        return cached
-    v = G.degree
-    rows = G.images_array()
-    labels = np.full((v, v), -1, dtype=np.int32)
-    sizes = []
-    for p in range(v):
-        for q in range(p + 1, v):
-            if labels[p, q] >= 0:
-                continue
-            orbit = set_orbit(rows, (p, q))
-            labels[orbit[:, 0], orbit[:, 1]] = labels[orbit[:, 1], orbit[:, 0]] = len(sizes)
-            sizes.append(len(orbit))
-    out = (labels, np.array(sizes, dtype=np.int64))
-    G._pair_orbit_cache = out
-    return out
-
-
 def _proportionality_filter(
     cands: np.ndarray, labels: np.ndarray, sizes: np.ndarray, lam: int, b: int
 ) -> np.ndarray:
@@ -209,7 +189,7 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
     m = job.stabilizer_order
     if m is None:
         return SearchResult(job, [], [], 0, 0, 0, note="inadmissible block count")
-    labels, sizes = _pair_orbit_table(G)
+    labels, sizes = pair_orbit_table(G)
     rows = G.images_array()
     designs: list[Design] = []
     tested = 0

@@ -152,7 +152,7 @@ def test_criterion_3_lambda12_mass_audit(psl33, psl_sweep):
     # the two canonical survivors whose orbits are the lambda = 3 block sets
     results, _ = psl_sweep
     job = sr.SearchJob(psl33, 12, 12)
-    labels, sizes = sr._pair_orbit_table(psl33)
+    labels, sizes = pg.pair_orbit_table(psl33)
     rows = psl33.images_array()
     classes = pg.subgroups_of_order(psl33, job.stabilizer_order)
     figures, accepted, rejected = [], [], []
@@ -299,7 +299,7 @@ def test_criterion_6_golden_tables():
     checked = matched = 0
     squares = []
     for table in sorted(sc.PUBLISHED_V):
-        for key, printed in sorted(sc.published_table(table).items()):
+        for key, printed in sorted(sc.PUBLISHED_V[table].items()):
             computed = _computed_value(table, key)
             checked += 1
             if (table, key) in _KNOWN_DIVERGENT:

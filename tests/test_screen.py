@@ -29,22 +29,40 @@ def test_out_order_reference():
 
 
 def test_h0_reference():
-    assert sc.h0_order(sc._case("C3", 3, 3, i=1, theta=3)) == 39
-    assert sc.h0_order(sc._case("C6", 3, 3, i=1, omega=3)) == 72
-    assert sc.h0_order(sc._case("C8u", 3, 4, q0=2)) == 72
-    assert sc.h0_order(sc._case("C8s", 4, 2)) == 720
-    with pytest.raises(sc.BoundOnlyError):
-        sc.h0_order(sc._case("C4", 6, 2, i=2))
-    with pytest.raises(sc.BoundOnlyError):
-        sc.h0_order(sc._case("C7", 9, 2, i=3, ell=2))
+    assert sc.h0_order(sc._case("C3", 3, 3, i=1, theta=3)) == (39, True)
+    assert sc.h0_order(sc._case("C6", 3, 3, i=1, omega=3)) == (72, True)
+    assert sc.h0_order(sc._case("C8u", 3, 4, q0=2)) == (72, True)
+    assert sc.h0_order(sc._case("C8s", 4, 2)) == (720, True)
+
+
+@pytest.mark.parametrize(
+    "case, bound, bound_ok",
+    [
+        (sc._case("C1'", 4, 2, i=1, kind="contained"), 192, sc.PASS),
+        (sc._case("C4", 6, 2, i=2), 1008, sc.FAIL),
+        (sc._case("C6", 5, 11, i=1, omega=5), 3000, sc.FAIL),
+        (sc._case("C7", 9, 2, i=3, ell=2), 56448, sc.FAIL),
+    ],
+    ids=lambda x: x.label() if isinstance(x, sc.CaseSpec) else None,
+)
+def test_h0_bound_formulas(case, bound, bound_ok):
+    # the families with no exact |H0| formula carry an upper bound instead;
+    # the report screens them by the bound gate alone
+    assert sc.h0_order(case) == (bound, False)
+    r = sc.build_report(case)
+    assert (r.h0_order, r.h0_bound, r.v) == (None, bound, None)
+    assert r.bound_ok == bound_ok
 
 
 def test_point_count_reference():
-    assert sc.point_count(sc._case("C3", 3, 3, i=1, theta=3)) == 144
-    assert sc.point_count(sc._case("C1", 4, 7, i=1)) == 400
-    assert sc.point_count(sc._case("C1", 5, 3, i=1)) == 121
-    assert sc.point_count(sc._case("C2", 4, 3, a=2, e=2)) == 5265
-    assert sc.point_count(sc._case("C8s", 4, 3)) == 117
+    assert sc.build_report(sc._case("C3", 3, 3, i=1, theta=3)).v == 144
+    assert sc.build_report(sc._case("C1", 4, 7, i=1)).v == 400
+    assert sc.build_report(sc._case("C1", 5, 3, i=1)).v == 121
+    assert sc.build_report(sc._case("C2", 4, 3, a=2, e=2)).v == 5265
+    assert sc.build_report(sc._case("C8s", 4, 3)).v == 117
+    # |X|/|H0| for a parabolic H0 is the Gaussian binomial
+    for n, i, q in ((4, 2, 2), (6, 3, 2), (8, 4, 2)):
+        assert sc.build_report(sc._case("C1", n, q, i=i)).v == sc.gaussian_binomial(n, i, q)
 
 
 def test_point_count_consistency_with_x_order():
@@ -53,16 +71,17 @@ def test_point_count_consistency_with_x_order():
         sc._case("C8u", 3, 9, q0=3),
         sc._case("C5", 3, 9, q0=3, u=2),
     ):
-        v = sc.point_count(case)
-        assert v * sc.h0_order(case) == sc.x_order(case.n, case.q.q)
+        h0, exact = sc.h0_order(case)
+        assert exact
+        assert sc.build_report(case).v * h0 == sc.x_order(case.n, case.q.q)
 
 
 def test_point_count_non_divisible():
     # PSL(2,7) has order 168, which does not divide |PSL(3,3)| = 5616
-    case = sc._case("S", 3, 3, name="PSL(2,7)", h0=168)
-    with pytest.raises(sc.NonDivisibleError):
-        sc.point_count(case)
-    assert sc.point_count_fraction(case) == Fraction(5616, 168)
+    r = sc.build_report(sc._case("S", 3, 3, name="PSL(2,7)", h0=168))
+    assert r.v is None and r.square_ok == sc.NA
+    assert nt.parse_factorization(r.v_fraction) == Fraction(5616, 168)
+    assert "stabilizer order does not divide the socle order; case vacuous" in r.notes
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +90,19 @@ def test_point_count_non_divisible():
 
 def test_subdegrees_reference():
     pair = sc.subdegrees(sc._case("C1", 4, 2, i=2))
-    assert [d.value for d in pair] == [18, 16]
+    assert pair == [(18, "line-meeting"), (16, "line-disjoint")]
     # independent oracle: nontrivial subdegrees sum to v - 1
-    v = sc.point_count(sc._case("C1", 4, 2, i=2))
-    assert 1 + sum(d.value for d in pair) == v
-    assert [d.value for d in sc.subdegrees(sc._case("C8s", 4, 2))] == [45]
-    assert [d.value for d in sc.subdegrees(sc._case("C5", 3, 4, q0=2, u=2))] == [21]
+    v = sc.build_report(sc._case("C1", 4, 2, i=2)).v
+    assert 1 + sum(d for d, _ in pair) == v
+    assert sc.subdegrees(sc._case("C8s", 4, 2)) == [(45, "nonsingular-pair")]
+    assert sc.subdegrees(sc._case("C5", 3, 4, q0=2, u=2)) == [(21, "subfield-pair")]
     assert sc.subdegrees(sc._case("C3", 3, 3, i=1, theta=3)) == []
 
 
 def test_subdegree_c1_i1_is_point_count_minus_one():
     for n, q in ((4, 7), (5, 3), (6, 2)):
         d = sc.subdegrees(sc._case("C1", n, q, i=1))
-        assert [x.value for x in d] == [sc.point_count(sc._case("C1", n, q, i=1)) - 1]
+        assert [x for x, _ in d] == [sc.build_report(sc._case("C1", n, q, i=1)).v - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -93,21 +112,22 @@ def test_subdegree_c1_i1_is_point_count_minus_one():
 def test_divisibility_gate_reference():
     assert sc.divisibility_gate(144, [], 2, 39) == sc.PASS
     assert sc.divisibility_gate(145, [], 2, 39) == sc.NA
-    assert sc.divisibility_gate(121, [], 2, sc.h0_order(sc._case("C1", 5, 3, i=1))) == sc.PASS
+    h0, _ = sc.h0_order(sc._case("C1", 5, 3, i=1))
+    assert sc.divisibility_gate(121, [], 2, h0) == sc.PASS
     # 400: k+1 = 21 divides v-1 = 399 and the parabolic stabilizer order
     case = sc._case("C1", 4, 7, i=1)
-    assert (
-        sc.divisibility_gate(400, sc.subdegrees(case), sc.out_order(4, 7), sc.h0_order(case))
-        == sc.PASS
-    )
+    subs = [d for d, _ in sc.subdegrees(case)]
+    h0, _ = sc.h0_order(case)
+    assert sc.divisibility_gate(400, subs, sc.out_order(4, 7), h0) == sc.PASS
+    assert sc.build_report(case).divisibility_ok == sc.PASS
 
 
 def test_divisibility_gate_monotone_in_subdegrees():
     rng = random.Random(5)
     case = sc._case("C1", 4, 7, i=1)
-    base = [d.value for d in sc.subdegrees(case)]
+    base = [d for d, _ in sc.subdegrees(case)]
     extra = [rng.randrange(2, 10**6) for _ in range(20)]
-    v, out, h0 = 400, 4, sc.h0_order(case)
+    v, out, (h0, _) = 400, 4, sc.h0_order(case)
     passing = sc.divisibility_gate(v, base, out, h0)
     for i in range(len(extra)):
         wider = sc.divisibility_gate(v, base + extra[: i + 1], out, h0)
@@ -117,9 +137,9 @@ def test_divisibility_gate_monotone_in_subdegrees():
 
 
 def test_bound_gate_reference():
-    assert sc.bound_gate(sc._case("C6", 3, 3, i=1, omega=3)) == sc.PASS
-    assert sc.bound_gate(sc._case("C3", 3, 3, i=1, theta=3)) == sc.PASS
-    assert sc.bound_gate(sc._case("C1", 4, 7, i=1)) == sc.NA  # parabolic
+    assert sc.build_report(sc._case("C6", 3, 3, i=1, omega=3)).bound_ok == sc.PASS
+    assert sc.build_report(sc._case("C3", 3, 3, i=1, theta=3)).bound_ok == sc.PASS
+    assert sc.build_report(sc._case("C1", 4, 7, i=1)).bound_ok == sc.NA  # parabolic
 
 
 def test_bound_gate_m11_exact_vs_weakened():
@@ -129,7 +149,7 @@ def test_bound_gate_m11_exact_vs_weakened():
     # and then dropped the case because v is not a square.  Exact evaluation
     # eliminates it at the bound already.
     case = sc._case("S", 5, 3, name="M11", h0=7920)
-    assert sc.bound_gate(case) == sc.FAIL
+    assert sc.build_report(case).bound_ok == sc.FAIL
     q, n = 3, 5
     h0 = 7920
     from designforge.numtheory import p_prime_part
@@ -140,11 +160,15 @@ def test_bound_gate_m11_exact_vs_weakened():
 
 
 def test_bound_gate_rejects_p_dividing_v_minus_1():
-    # symplectic case at q=3: v = 117, gcd(3, 116) = 1 passes; fabricate failure
-    case = sc._case("C8s", 6, 3)
-    v = sc.point_count(case)
-    p = case.q.p
-    assert math.gcd(p, v - 1) == 1 or sc.bound_gate(case) == sc.FAIL
+    # C3(3,3): |X| = 5616 < 2^2 * 39 * 13^2 and v = 144, gcd(3, 143) = 1;
+    # a point count with 3 | v-1 fails the gate, an unknown one does not
+    case = sc._case("C3", 3, 3, i=1, theta=3)
+    assert sc.bound_gate(case, 5616, 2, 39, True, 144) == sc.PASS
+    assert sc.bound_gate(case, 5616, 2, 39, True, 145) == sc.FAIL
+    assert sc.bound_gate(case, 5616, 2, 39, True, None) == sc.PASS
+    # an upper bound stands in for its own p'-part: 2^2 * 39^3 > 5616 still
+    assert sc.bound_gate(case, 5616, 2, 39, False, None) == sc.PASS
+    assert sc.bound_gate(case, 5616, 2, 12, True, 144) == sc.FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +192,31 @@ ERRATA = {
 }
 
 
+def _point_count(case: sc.CaseSpec) -> Fraction:
+    h0, exact = sc.h0_order(case)
+    assert exact, case.label()
+    return Fraction(sc.x_order(case.n, case.q.q), h0)
+
+
 def _computed_value(table: str, key: int) -> Fraction:
     if table == "C1:i=3,q=2":
         return Fraction(sc.gaussian_binomial(key, 3, 2))
     if table == "C3:n=3,theta=3":
-        return sc.point_count_fraction(sc._case("C3", 3, key, i=1, theta=3))
+        return _point_count(sc._case("C3", 3, key, i=1, theta=3))
     if table == "C5:n=3,u=2,zeta=1" or table == "C5:n=3,u=2,zeta=3":
-        return sc.point_count_fraction(sc._case("C5", 3, key * key, q0=key, u=2))
+        return _point_count(sc._case("C5", 3, key * key, q0=key, u=2))
     if table == "C8u:n=3,delta=1":
-        return sc.point_count_fraction(sc._case("C8u", 3, key * key, q0=key))
+        return _point_count(sc._case("C8u", 3, key * key, q0=key))
     if table == "S:n=3,PSL(2,7)":
-        return sc.point_count_fraction(sc._case("S", 3, key, name="PSL(2,7)", h0=168))
+        return _point_count(sc._case("S", 3, key, name="PSL(2,7)", h0=168))
     if table == "S:n=3,A6":
-        return sc.point_count_fraction(sc._case("S", 3, key, name="A6", h0=360))
+        return _point_count(sc._case("S", 3, key, name="A6", h0=360))
     raise KeyError(table)
 
 
 @pytest.mark.parametrize("table", sorted(sc.PUBLISHED_V))
 def test_published_tables_cross_checked(table):
-    entries = sc.published_table(table)
+    entries = sc.PUBLISHED_V[table]
     assert entries, table
     for key, printed in sorted(entries.items()):
         computed = _computed_value(table, key)
@@ -207,25 +237,25 @@ def test_published_tables_cross_checked(table):
 
 def test_c3_field_extension_derived_list_matches_published():
     derived = sc._derived_c3_field_ext_qs()
-    assert derived == sorted(sc.published_table("C3:n=3,theta=3"))
+    assert derived == sorted(sc.PUBLISHED_V["C3:n=3,theta=3"])
 
 
 def test_c8u_derived_list_matches_published():
     derived = sc._derived_c8u_n3_qs(True)
-    assert derived == sorted(sc.published_table("C8u:n=3,delta=1"))
+    assert derived == sorted(sc.PUBLISHED_V["C8u:n=3,delta=1"])
     assert sc._derived_c8u_n3_qs(False) == [4, 7]
 
 
 def test_c5_derived_lists_cover_published():
     z1 = sc._derived_c5_n3_qs(1)
-    assert z1 == sorted(sc.published_table("C5:n=3,u=2,zeta=1"))
+    assert z1 == sorted(sc.PUBLISHED_V["C5:n=3,u=2,zeta=1"])
     z3 = sc._derived_c5_n3_qs(3)
-    published = sorted(sc.published_table("C5:n=3,u=2,zeta=3"))
+    published = sorted(sc.PUBLISHED_V["C5:n=3,u=2,zeta=3"])
     assert set(published) <= set(z3)
     # the published list stops at 128; the inequality also admits 512
     assert sorted(set(z3) - set(published)) == [512]
-    extra = sc.point_count(sc._case("C5", 3, 512 * 512, q0=512, u=2))
-    assert not nt.is_perfect_square(extra)
+    extra = sc.build_report(sc._case("C5", 3, 512 * 512, q0=512, u=2))
+    assert extra.v is not None and extra.square_ok == sc.FAIL
 
 
 def test_c5_high_index_pairs():
@@ -325,8 +355,9 @@ def test_point_count_cross_module_consistency(psl33):
     # the screen's 144 for the field-extension case must equal the point count
     # of the materialized permutation group
     case = sc._case("C3", 3, 3, i=1, theta=3)
-    assert sc.point_count(case) == psl33.degree
+    v = sc.build_report(case).v
+    assert v == psl33.degree
     assert sc.x_order(3, 3) == psl33.order
     from designforge.permgroup import orbits
 
-    assert len(orbits(psl33)[0]) == sc.point_count(case)
+    assert len(orbits(psl33)[0]) == v

@@ -78,7 +78,7 @@ def test_orbit_union_explosion_guard(sym4):
 @pytest.mark.parametrize("name", ["psl33", "pgl33"])
 def test_pair_orbit_table(name, request):
     G = request.getfixturevalue(name)
-    labels, sizes = sr._pair_orbit_table(G)
+    labels, sizes = pg.pair_orbit_table(G)
     v = G.degree
     assert (labels == labels.T).all()
     assert (labels[~np.eye(v, dtype=bool)] >= 0).all()
@@ -112,7 +112,7 @@ def test_s4_sweep(sym4):
 
 def _filter_survivors(job):
     """Every candidate of every stabilizer class that passes the proportionality filter."""
-    labels, sizes = sr._pair_orbit_table(job.group)
+    labels, sizes = pg.pair_orbit_table(job.group)
     for H in pg.subgroups_of_order(job.group, job.stabilizer_order):
         for chunk in sr._candidate_chunks(H, job.k):
             keep = sr._proportionality_filter(chunk, labels, sizes, job.lam, job.b)
