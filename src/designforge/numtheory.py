@@ -8,9 +8,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress, pairwise
+from typing import Iterable
 
-# Witnesses proving primality deterministically for n < 3.3 * 10**24.
+# The first 13 primes as Miller-Rabin bases prove primality for every n below
+# _MR_PROVEN_BELOW (Sorenson & Webster, Math. Comp. 86, 2017); above it, a
+# number that passes is a strong probable prime to these bases, not proven.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIME_LIMIT = 1000
 _small_primes: list[int] = []
@@ -37,19 +41,31 @@ class FactorizationError(ArithmeticError):
     """A composite cofactor resisted every splitting attempt allowed."""
 
 
+def _primes_up_to(limit: int) -> list[int]:
+    """The primes <= limit, by a sieve of Eratosthenes."""
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return list(compress(range(limit + 1), sieve))
+
+
 def _sieve_small() -> list[int]:
     if not _small_primes:
-        sieve = bytearray([1]) * _SMALL_PRIME_LIMIT
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, int(math.isqrt(_SMALL_PRIME_LIMIT)) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-        _small_primes.extend(i for i in range(_SMALL_PRIME_LIMIT) if sieve[i])
+        _small_primes.extend(_primes_up_to(_SMALL_PRIME_LIMIT - 1))
     return _small_primes
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set (deterministic below 3.3e24)."""
+    """Miller-Rabin to the 13 bases in _MR_WITNESSES.
+
+    True is a proof of primality for n < _MR_PROVEN_BELOW (about 3.317e24);
+    above that bound it only says n is a strong probable prime to those bases.
+    False is always a proof that n is composite.
+    """
     if n < 2:
         return False
     for p in _sieve_small():
@@ -169,9 +185,10 @@ def _pollard_pm1(n: int) -> int:
 
 
 def factorize(n: int, effort: int = 8) -> dict[int, int]:
-    """Factor n > 0 into prime powers; every key is prime.
+    """Factor n > 0 into prime powers.
 
-    A composite cofactor is split by a short Pollard-Brent run, then one
+    Every key is a proven prime when it is below _MR_PROVEN_BELOW, and a
+    strong probable prime to the 13 bases of `is_prime` above it.  A composite cofactor is split by a short Pollard-Brent run, then one
     Pollard p-1 run, then Pollard-Brent with seeds 1..effort; the first two
     belong to the first of the `effort` attempts, so effort=0 tries nothing.
     Raises FactorizationError when a cofactor resists them all, rather than
@@ -218,6 +235,54 @@ def factorize(n: int, effort: int = 8) -> dict[int, int]:
     return factors
 
 
+def cyclotomic_values(n: int, q: int) -> list[int]:
+    """[Phi_1(q), ..., Phi_n(q)] for q >= 2, from q^d - 1 = prod_{e | d} Phi_e(q)."""
+    if q < 2:
+        raise ValueError("cyclotomic_values expects q >= 2")
+    values: list[int] = []
+    for d in range(1, n + 1):
+        value = q**d - 1
+        for e in range(1, d):
+            if d % e == 0:
+                value //= values[e - 1]
+        values.append(value)
+    return values
+
+
+def factorize_over(n: int, parts: Iterable[int]) -> dict[int, int]:
+    """Factor n > 0 whose every prime divides one of `parts`.
+
+    Each g = gcd(n', part) > 1, with n' what is left of n, is factored by
+    `factorize`, and the exponent of each of its primes is read off n' by
+    division.  Raises FactorizationError when a cofactor is left, that is
+    when n has a prime that divides no part.
+    """
+    if n < 1:
+        raise ValueError("factorize_over expects a positive integer")
+    factors: dict[int, int] = {}
+    rest = n
+    for part in parts:
+        g = math.gcd(rest, part)
+        if g == 1:
+            continue
+        for p in factorize(g):
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            factors[p] = e
+    if rest != 1:
+        raise FactorizationError(f"cofactor {rest} of {n} divides none of the parts")
+    return factors
+
+
+def format_factorization(factors: dict[int, int]) -> str:
+    """Render {p: e} like the classical tables: "2^4·3^2", and {} as "1"."""
+    if not factors:
+        return "1"
+    return "·".join(f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items()))
+
+
 def factorization_string(n: int | Fraction) -> str:
     """Render n like the classical tables: "2^4·3^2", fractions as num/den."""
     if isinstance(n, Fraction):
@@ -226,14 +291,7 @@ def factorization_string(n: int | Fraction) -> str:
         return f"{factorization_string(n.numerator)}/{factorization_string(n.denominator)}"
     if n == 0:
         return "0"
-    if n == 1:
-        return "1"
-    parts = []
-    fac = factorize(n)
-    for p in sorted(fac):
-        e = fac[p]
-        parts.append(f"{p}^{e}" if e > 1 else str(p))
-    return "·".join(parts)
+    return format_factorization(factorize(n))
 
 
 def parse_factorization(text: str) -> Fraction:
@@ -291,7 +349,13 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
 
 def prime_powers_up_to(limit: int) -> list[int]:
     """All prime powers p**f <= limit, ascending."""
-    return [n for n in range(2, limit + 1) if len(factorize(n)) == 1]
+    out = []
+    for p in _primes_up_to(limit):
+        power = p
+        while power <= limit:
+            out.append(power)
+            power *= p
+    return sorted(out)
 
 
 def divisors(n: int) -> list[int]:

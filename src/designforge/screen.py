@@ -27,9 +27,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .numtheory import (
+    cyclotomic_values,
     divisors,
     factorization_string,
     factorize,
+    factorize_over,
+    format_factorization,
     is_perfect_square,
     is_prime,
     p_prime_part,
@@ -537,14 +540,22 @@ def build_report(
     out = out_order(n, q)
     h0, exact = h0_order(case)
     all_notes = list(notes)
+    # every prime of |X| is p or divides some Phi_d(q) with d <= n, so a
+    # divisor of |X| is factored over these parts, not as one number
+    x_parts = (case.q.p, *cyclotomic_values(n, q))
     v: int | None = None
     v_fraction: str | None = None
+    v_factorization: str | None = None
     if exact:
         v_value = Fraction(x, h0)
+        num = format_factorization(factorize_over(v_value.numerator, x_parts))
         if v_value.denominator == 1:
             v = int(v_value)
+            v_factorization = num
         else:
-            v_fraction = factorization_string(v_value)
+            # the denominator divides |H0|, whose primes the parts need not hold
+            v_fraction = f"{num}/{format_factorization(factorize(v_value.denominator))}"
+            v_factorization = v_fraction
             all_notes.append("stabilizer order does not divide the socle order; case vacuous")
         if published_key:
             all_notes.extend(_published_note(*published_key, v_value))
@@ -566,7 +577,7 @@ def build_report(
         h0_bound=None if exact else h0,
         v=v,
         v_fraction=v_fraction,
-        v_factorization=factorization_string(v) if v is not None else v_fraction,
+        v_factorization=v_factorization,
         square_ok=square,
         candidate_k=cand_k,
         subdegrees=tuple(subs),

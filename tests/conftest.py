@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
 
 from designforge import data_path
+from designforge import numtheory as nt
 from designforge import screen as sc
 from designforge.permgroup import GroupTable, parse_cycles
 
@@ -14,6 +16,31 @@ BASE_BLOCK_LAMBDA12_PUBLISHED = tuple(
     p - 1 for p in (1, 2, 6, 15, 30, 35, 47, 56, 81, 118, 122, 135)
 )
 BASE_BLOCK_LAMBDA6 = tuple(p - 1 for p in (30, 31, 40, 44, 56, 67, 71, 84, 85, 93, 122, 125))
+
+
+def lucas_proof(r: int) -> bool:
+    """Prove r prime by Lucas' n - 1 test, or return False.
+
+    r is prime iff for each prime q | r - 1 some a has a^(r-1) = 1 and
+    a^((r-1)/q) != 1 (mod r) (Brillhart, Lehmer & Selfridge, Math. Comp. 29,
+    1975).  r - 1 is fully factored; a factor at or above the bound below
+    which `is_prime` is proven gets a certificate of its own.
+    """
+    if r < nt._MR_PROVEN_BELOW:
+        return nt.is_prime(r)
+    fac = nt.factorize(r - 1)
+    assert math.prod(q**e for q, e in fac.items()) == r - 1
+    for q in fac:
+        if not lucas_proof(q):
+            return False
+        for a in nt._primes_up_to(1000):
+            if pow(a, r - 1, r) != 1:
+                return False
+            if pow(a, (r - 1) // q, r) != 1:
+                break
+        else:
+            return False
+    return True
 
 
 @pytest.fixture(scope="session")

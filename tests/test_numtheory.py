@@ -1,4 +1,6 @@
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import lucas_proof
 from designforge import numtheory as nt
 
 
@@ -116,6 +119,86 @@ def test_square_and_prime_powers():
         nt.prime_power_decomposition(12)
     pps = nt.prime_powers_up_to(32)
     assert pps == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+def test_prime_powers_up_to_matches_trial_definition():
+    # the sieve against the definition it replaced, one factorize per integer
+    old = [n for n in range(2, 5001) if len(nt.factorize(n)) == 1]
+    for limit in range(5001):
+        assert nt.prime_powers_up_to(limit) == [n for n in old if n <= limit]
+    assert nt.prime_powers_up_to(0) == nt.prime_powers_up_to(1) == []
+    assert nt.prime_powers_up_to(2) == [2]
+
+
+def test_is_prime_proven_only_below_the_bound():
+    # psi_13, the least strong pseudoprime to the bases 2..41, passes
+    # is_prime and factorize keeps it whole; Lucas' test finds it composite
+    psi13 = nt._MR_PROVEN_BELOW
+    assert psi13 == 1287836182261 * 2575672364521
+    assert nt.is_prime(psi13)
+    assert nt.factorize(psi13) == {psi13: 1}
+    assert not lucas_proof(psi13)
+    assert lucas_proof(2**89 - 1)
+    # r - 1 = 136·(2^89 - 1): the certificate recurses on the Mersenne prime
+    assert lucas_proof(136 * (2**89 - 1) + 1)
+
+
+def test_cyclotomic_values_multiply_to_q_power_minus_one():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 25, 1024):
+        phi = nt.cyclotomic_values(12, q)
+        for d in range(1, 13):
+            assert math.prod(phi[e - 1] for e in range(1, d + 1) if d % e == 0) == q**d - 1
+    assert nt.cyclotomic_values(6, 2) == [1, 3, 7, 5, 31, 3]
+    assert nt.cyclotomic_values(0, 2) == []
+    with pytest.raises(ValueError):
+        nt.cyclotomic_values(3, 1)
+
+
+def _psl_factorization(n, q):
+    """{prime: exponent} of |PSL(n, q)| from its pieces, each factored alone."""
+    p, f = nt.prime_power_decomposition(q)
+    fac = {p: f * n * (n - 1) // 2}
+    for i in range(2, n + 1):
+        for r, e in nt.factorize(q**i - 1).items():
+            fac[r] = fac.get(r, 0) + e
+    for r, e in nt.factorize(math.gcd(n, q - 1)).items():
+        fac[r] -= e
+    return {r: e for r, e in fac.items() if e}
+
+
+def test_factorize_over_matches_factorize_on_psl_divisors():
+    rng = random.Random(20261019)
+    for n, q in ((3, 3), (4, 7), (5, 4), (6, 9), (8, 2), (9, 32), (10, 13), (12, 3)):
+        parts = (nt.prime_power_decomposition(q)[0], *nt.cyclotomic_values(n, q))
+        full = _psl_factorization(n, q)
+        assert nt.factorize_over(math.prod(r**e for r, e in full.items()), parts) == full
+        for _ in range(10):
+            chosen = {r: rng.randint(0, e) for r, e in full.items()}
+            divisor = math.prod(r**e for r, e in chosen.items())
+            got = nt.factorize_over(divisor, parts)
+            assert got == {r: e for r, e in chosen.items() if e} == nt.factorize(divisor)
+    # Phi_11(569): its smallest prime factor is about 10^13
+    parts = (569, *nt.cyclotomic_values(11, 569))
+    phi11 = parts[11]
+    expected = nt.factorize(phi11)
+    assert min(expected) > 10**12
+    assert nt.factorize_over(phi11, parts) == expected
+    assert nt.factorize_over(569**3 * 568 * phi11, parts) == nt.factorize(569**3 * 568 * phi11)
+
+
+def test_factorize_over_raises_on_a_prime_outside_the_parts():
+    assert nt.factorize_over(7 * 9, (2, 3, 7)) == {3: 2, 7: 1}
+    assert nt.factorize_over(1, (2, 3)) == {}
+    with pytest.raises(nt.FactorizationError, match="cofactor 11 of 77"):
+        nt.factorize_over(7 * 11, (2, 3, 7))
+    with pytest.raises(ValueError):
+        nt.factorize_over(0, (2,))
+
+
+def test_format_factorization():
+    assert nt.format_factorization({3: 2, 2: 4}) == "2^4·3^2"
+    assert nt.format_factorization({}) == "1"
+    assert nt.format_factorization(nt.factorize(5616)) == nt.factorization_string(5616)
 
 
 def test_divisors():

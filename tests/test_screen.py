@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import lucas_proof
 from designforge import numtheory as nt
 from designforge import screen as sc
 
@@ -305,6 +306,34 @@ def test_screen_factorizations_pinned(all_reports):
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert len(rows) == 2392
     assert digest == "353bde17261db2a20f91ebc5e94dbae59b3ef329f22a8e4ea1d7d7cccec90499"
+
+
+def test_screen_large_primes_certified(all_reports):
+    # is_prime only proves primality below 3.317e24; every larger prime the
+    # default report prints is proven here by a Lucas n - 1 certificate
+    terms = [
+        term
+        for r in all_reports
+        if r.v_factorization is not None
+        for term in r.v_factorization.replace("/", "·").split("·")
+    ]
+    large = {p for p in (int(t.partition("^")[0]) for t in terms) if p >= nt._MR_PROVEN_BELOW}
+    assert len(large) == 21
+    assert min(large) == 3331619660547290963585131
+    for p in sorted(large):
+        assert lucas_proof(p), p
+
+
+def test_adhoc_case_factored_over_cyclotomic_values():
+    # (n, q) = (13, 2) lies outside C1's default ranges; Phi_13(2) = 8191
+    reports = sc.case_screen(["C1"], n_filter=13, q_filter=2)
+    assert [r.case.get("i") for r in reports] == [1, 2, 3, 4, 5, 6]
+    for r in reports:
+        assert "outside the default ranges; exploratory" in r.notes
+        assert r.v_factorization == nt.factorization_string(r.v)
+        assert nt.parse_factorization(r.v_factorization) == r.v
+    assert reports[0].v_factorization == "8191"
+    assert reports[1].v_factorization == "3·5·7·13·8191"
 
 
 def test_screen_reports_pinned(all_reports):
