@@ -3,8 +3,8 @@
     python3 bench/compare_commits.py --parent PARENT_DIR --change CHANGE_DIR \
         --out BENCH_name.json --pairs 10 --seconds 10
 
-PARENT_DIR and CHANGE_DIR are two source checkouts (for example made with
-`git archive`), each with its own perfbench/.  For every workload and pair i
+PARENT_DIR and CHANGE_DIR are two source checkouts (for example two
+`git clone`s), each with its own perfbench/.  For every workload and pair i
 the script runs `perfbench/run.py --trace 0` with seed SEED0 + i in both
 checkouts, the parent first on even i and the change first on odd i, so a
 slow drift of the machine falls on both sides.  It then runs one traced pair
@@ -66,6 +66,13 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     }
 
 
+def revision(checkout: Path) -> str | None:
+    """The commit a git checkout is at, or None for an exported tree."""
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def digests(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory() as out:
@@ -109,6 +116,7 @@ def main() -> int:
         "what": args.what,
         "machine": f"{os.cpu_count()} CPUs, {platform.processor() or platform.machine()}, "
                    f"Python {platform.python_version()}; every figure is one run",
+        "revisions": {side: revision(path) for side, path in sides.items()},
         "pairs": {
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} "
                        "--trace 0, parent first on even pair index",

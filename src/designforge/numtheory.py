@@ -188,7 +188,8 @@ def factorize(n: int, effort: int = 8) -> dict[int, int]:
     """Factor n > 0 into prime powers.
 
     Every key is a proven prime when it is below _MR_PROVEN_BELOW, and a
-    strong probable prime to the 13 bases of `is_prime` above it.  A composite cofactor is split by a short Pollard-Brent run, then one
+    strong probable prime to the 13 bases of `is_prime` above it.  A
+    composite cofactor is split by a short Pollard-Brent run, then one
     Pollard p-1 run, then Pollard-Brent with seeds 1..effort; the first two
     belong to the first of the `effort` attempts, so effort=0 tries nothing.
     Raises FactorizationError when a cofactor resists them all, rather than

@@ -540,14 +540,14 @@ def build_report(
     out = out_order(n, q)
     h0, exact = h0_order(case)
     all_notes = list(notes)
-    # every prime of |X| is p or divides some Phi_d(q) with d <= n, so a
-    # divisor of |X| is factored over these parts, not as one number
-    x_parts = (case.q.p, *cyclotomic_values(n, q))
     v: int | None = None
     v_fraction: str | None = None
     v_factorization: str | None = None
     if exact:
         v_value = Fraction(x, h0)
+        # the numerator divides |X|, whose every prime is p or divides some
+        # Phi_d(q) with d <= n: it is factored over these parts, not as one number
+        x_parts = (case.q.p, *cyclotomic_values(n, q))
         num = format_factorization(factorize_over(v_value.numerator, x_parts))
         if v_value.denominator == 1:
             v = int(v_value)

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import lucas_proof
 from designforge import numtheory as nt
+from designforge.screen import x_order
 
 
 def test_is_prime_small():
@@ -171,7 +172,8 @@ def test_factorize_over_matches_factorize_on_psl_divisors():
     for n, q in ((3, 3), (4, 7), (5, 4), (6, 9), (8, 2), (9, 32), (10, 13), (12, 3)):
         parts = (nt.prime_power_decomposition(q)[0], *nt.cyclotomic_values(n, q))
         full = _psl_factorization(n, q)
-        assert nt.factorize_over(math.prod(r**e for r, e in full.items()), parts) == full
+        assert math.prod(r**e for r, e in full.items()) == x_order(n, q)
+        assert nt.factorize_over(x_order(n, q), parts) == full
         for _ in range(10):
             chosen = {r: rng.randint(0, e) for r, e in full.items()}
             divisor = math.prod(r**e for r, e in chosen.items())
