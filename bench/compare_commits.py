@@ -18,7 +18,6 @@ many pairs the change was lower.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
