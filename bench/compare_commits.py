@@ -8,11 +8,12 @@ PARENT_DIR and CHANGE_DIR are two source checkouts (for example two
 the script runs `perfbench/run.py --trace 0` with seed SEED0 + i in both
 checkouts, the parent first on even i and the change first on odd i, so a
 slow drift of the machine falls on both sides.  It then runs one traced pair
-on the screen workload, and in each checkout it records the two pinned
-screen digests and the sha256 of the `screen_report.json` that
-`designforge screen --family all` writes.  The JSON written to --out holds
-every run, the median and quartiles of each end-to-end metric, and in how
-many pairs the change was lower.
+per workload, and in each checkout it records the two pinned screen digests,
+the sha256 of the `screen_report.json` that `designforge screen --family
+all` writes, and the sha256 of the subgroup class representatives of the 22
+pinned (group, m) pairs.  The JSON written to --out holds every run, the
+median and quartiles of each end-to-end metric, and in how many pairs the
+change was lower.
 """
 
 from __future__ import annotations
@@ -29,25 +30,41 @@ from pathlib import Path
 
 WORKLOADS = ("screen-all", "psl33-small-lambda")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
-TRACED_LAYERS = ("numtheory.factorize_s", "numtheory.factorize_calls", "screen.case_screen_s")
+TRACED_LAYERS = {
+    "screen-all": ("numtheory.factorize_s", "numtheory.factorize_calls",
+                   "screen.case_screen_s"),
+    "psl33-small-lambda": ("permgroup.mul_table_s", "permgroup.subgroups_s",
+                           "permgroup.subgroups_calls", "permgroup.subgroup_classes",
+                           "search.run_s", "iso.iso_classes_s"),
+}
 
 # run inside a checkout: the label-and-factorization digest of
 # tests/test_screen.py::test_screen_factorizations_pinned, the full-report
-# digest of test_screen_reports_pinned, and the CLI's screen_report.json
+# digest of test_screen_reports_pinned, the CLI's screen_report.json, and the
+# class representatives of the (group, m) pairs of
+# tests/test_permgroup.py::SUBGROUP_CLASS_HASHES, computed on one group per
+# generator file in the pinned order, so later orders reuse the stored lattice
 _DIGESTS = """
 import hashlib, json, sys
 from pathlib import Path
-from designforge import screen as sc
+from designforge import data_path, permgroup as pg, screen as sc
 from designforge.cli import main
 reports = sc.case_screen()
 rows = [(r.case.label(), r.v_factorization, r.v_fraction) for r in reports]
 doc = json.dumps([r.to_dict() for r in reports], sort_keys=True)
 main(["screen", "--family", "all", "--out", sys.argv[1]])
+classes = []
+for name, orders in (("psl33", (2, 3, 4, 6, 8, 9, 12, 13, 16, 18, 24, 26, 27, 36, 39, 52, 54)),
+                     ("pgl33", (6, 12, 18, 24, 36))):
+    G = pg.GroupTable.from_file(data_path(name + ".gens"))
+    classes += [[name, m, [s.indices for s in pg.subgroups_of_order(G, m)]] for m in orders]
+    del G
 print(json.dumps({
     "factorizations_sha256": hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
     "reports_sha256": hashlib.sha256(doc.encode()).hexdigest(),
     "screen_report_json_sha256": hashlib.sha256(
         (Path(sys.argv[1]) / "screen_report.json").read_bytes()).hexdigest(),
+    "subgroup_classes_sha256": hashlib.sha256(json.dumps(classes).encode()).hexdigest(),
 }))
 """
 
@@ -138,13 +155,14 @@ def main() -> int:
         for w in WORKLOADS for p in runs[w] for s in sides)
     doc["pairs"]["runs"] = runs
 
-    traced = {side: run_bench(path, "screen-all", args.seed0, args.seconds, 1)
-              for side, path in sides.items()}
-    doc["screen-all traced"] = {
-        "command": f"python3 perfbench/run.py --workload screen-all --seed {args.seed0} "
-                   f"--seconds {args.seconds} --trace 1",
-        **{side: {k: traced[side][k] for k in TRACED_LAYERS} for side in sides},
-    }
+    for workload in WORKLOADS:
+        traced = {side: run_bench(path, workload, args.seed0, args.seconds, 1)
+                  for side, path in sides.items()}
+        doc[f"{workload} traced"] = {
+            "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed0} "
+                       f"--seconds {args.seconds} --trace 1",
+            **{side: {k: traced[side][k] for k in TRACED_LAYERS[workload]} for side in sides},
+        }
     doc["outputs"] = {side: digests(path) for side, path in sides.items()}
     doc["outputs"]["identical"] = doc["outputs"]["parent"] == doc["outputs"]["change"]
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -200,7 +200,10 @@ class GroupTable:
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._pair_orbits: tuple[np.ndarray, np.ndarray] | None = None
-        self._subgroup_classes: dict[int, list[Subgroup]] = {}
+        # the subgroup lattice found so far: order d -> (least member,
+        # generators) of every conjugacy class of order d, sorted by least
+        # member; an order is a key only once all its classes are known
+        self._subgroup_classes: dict[int, list[tuple[np.ndarray, tuple[int, ...]]]] = {}
 
     # -- construction
 
@@ -317,7 +320,7 @@ class GroupTable:
                     f"multiplication table for order {self.order} would be too large"
                 )
             n = self.order
-            dt = np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32
+            # every index fits in uint16, as the order is capped above
             # left-multiplication maps for each generator: Lg[i] = index of g*e_i
             lmaps = []
             for g in self.generators:
@@ -326,12 +329,12 @@ class GroupTable:
                 lmaps.append(
                     np.fromiter(
                         (self._index[prod_rows[i].tobytes()] for i in range(n)),
-                        dtype=np.int64,
+                        dtype=np.uint16,
                         count=n,
                     )
                 )
-            T = np.zeros((n, n), dtype=dt)
-            T[0] = np.arange(n, dtype=dt)
+            T = np.zeros((n, n), dtype=np.uint16)
+            T[0] = np.arange(n, dtype=np.uint16)
             built = np.zeros(n, dtype=bool)
             built[0] = True
             frontier = [0]
@@ -341,8 +344,10 @@ class GroupTable:
                     for lm in lmaps:
                         x = int(lm[y])
                         if not built[x]:
-                            # e_x = g*e_y, so e_x*e_j = g*(e_y*e_j)
-                            T[x] = lm[T[y]]
+                            # e_x = g*e_y, so e_x*e_j = g*(e_y*e_j); every index
+                            # is below n, so "clip" changes none and lets take
+                            # write the row in place
+                            np.take(lm, T[y], out=T[x], mode="clip")
                             built[x] = True
                             nxt.append(x)
                 frontier = nxt
@@ -563,14 +568,26 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
     tried once, by its smallest cyclic generator.
 
     A new subgroup K is keyed once for its whole class: one gather gives
-    g^-1 K g for every g, every distinct conjugate goes into `seen`, and the
-    lexicographically least one is stored, with its generators conjugated
-    by the same g.  Extending only these representatives still reaches every
-    class, on both routes: if K = <H, y> then K^g = <H^g, y^g>, y^g is in
-    H^g * z for the cyclic generator z tried for that coset, and y normalizes
-    H iff y^g normalizes H^g.  The output is the sorted list of the least
-    members of the order-m classes, so it does not depend on the order in
-    which classes are reached.
+    g^-1 K g for every g, every distinct conjugate goes into the run's
+    conjugate set, and the lexicographically least one is stored, with its
+    generators conjugated by the same g.  Extending only these
+    representatives still reaches every class, on both routes: if
+    K = <H, y> then K^g = <H^g, y^g>, y^g is in H^g * z for the cyclic
+    generator z tried for that coset, and y normalizes H iff y^g normalizes
+    H^g.  The output is the sorted list of the least members of the order-m
+    classes, so it does not depend on the order in which classes are
+    reached.
+
+    The run reaches every class of every order d | m, not only of order m:
+    a subgroup K of order d is <H, y> with H a normal subgroup of prime
+    index (K solvable) or a maximal subgroup (otherwise), and the orders of
+    H and y divide d.  So when the run finishes, the classes of every d | m
+    are stored on G, an order with no class as an empty list, and a stored
+    order is complete.  A later call for a stored order returns its list; any
+    other call seeds its queue with every stored class whose order divides
+    m and skips a subgroup of a stored order without a gather, since its
+    class is already queued.  The run works on local additions and stores
+    them only at its end, so an interrupted run leaves G as it was.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -579,10 +596,18 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
         return []
     if m == 1:
         return [trivial_subgroup(G)]
-    cache = G._subgroup_classes
-    if m in cache:
-        return list(cache[m])
+    known = G._subgroup_classes
+    if m not in known:
+        known.update(_new_subgroup_classes(G, m))
+    return [Subgroup(G, tuple(least.tolist())) for least, _ in known[m]]
 
+
+def _new_subgroup_classes(
+    G: GroupTable, m: int
+) -> dict[int, list[tuple[np.ndarray, tuple[int, ...]]]]:
+    """The classes of every order d | m (d > 1) not yet stored on G, found by
+    the lattice closure that `subgroups_of_order` describes."""
+    known = G._subgroup_classes
     T = G.mul_table()
     inv = G.inverse_indices()
     orders = G.element_orders()
@@ -608,24 +633,25 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
     cyc_reps = np.array(sorted(cyc_elements), dtype=np.int64)
 
     everything = np.arange(G.order, dtype=np.int64)[:, None]
-    seen: set[bytes] = set()
-    queue: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    full: list[tuple[int, ...]] = []
+    found = {d: [] for d in range(2, m + 1) if m % d == 0 and d not in known}
+    # uint16 bytes of each conjugate met in this run (T is uint16)
+    conjugates: set[bytes] = set()
+    queue = [rec for d, recs in known.items() if m % d == 0 for rec in recs]
 
     def store(K: np.ndarray, gens: tuple[int, ...]) -> None:
-        if K.astype(np.int64).tobytes() in seen:
+        if len(K) in known or K.astype(np.uint16).tobytes() in conjugates:
             return
         conj = T[T[inv[everything], K], everything]  # row g: g^-1 K g
-        members = sorted_rows(conj).astype(np.int64)
-        seen.update(row.tobytes() for row in members)
-        least = members[0]
+        members = sorted_rows(conj)
+        conjugates.update(row.tobytes() for row in members)
+        least = members[0].astype(np.int64)
         in_least = np.zeros(G.order, dtype=bool)
         in_least[least] = True
         g = int(np.flatnonzero(in_least[conj].all(axis=1))[0])
-        if len(least) == m:
-            full.append(tuple(least.tolist()))
-        else:
-            queue.append((least, tuple(int(T[T[inv[g], x], g]) for x in gens)))
+        rec = (least, tuple(int(T[T[inv[g], x], g]) for x in gens))
+        found[len(least)].append(rec)
+        if len(least) < m:
+            queue.append(rec)
 
     for rep in cyc_reps:
         store(cyc_elements[int(rep)], (int(rep),))
@@ -654,10 +680,9 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
             if K is not None and m % len(K) == 0:
                 store(K, gens + (y,))
 
-    full.sort()
-    result = [Subgroup(G, rep) for rep in full]
-    cache[m] = list(result)
-    return result
+    for recs in found.values():
+        recs.sort(key=lambda rec: rec[0].tolist())
+    return found
 
 
 def are_conjugate(G: GroupTable, H1: Subgroup, H2: Subgroup) -> Permutation | None:

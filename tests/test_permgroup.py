@@ -442,6 +442,104 @@ def test_subgroups_of_order_s5_against_oracle(sym5):
     assert pg.subgroups_of_order(sym5, 40) == []
 
 
+# The tests below build fresh groups: the session fixtures' stored lattices
+# depend on which tests ran before.
+
+
+def _class_digest(subs: list[pg.Subgroup]) -> str:
+    return hashlib.sha256(json.dumps([s.indices for s in subs]).encode()).hexdigest()
+
+
+def _divisors(m: int) -> list[int]:
+    return [d for d in range(2, m + 1) if m % d == 0]
+
+
+@pytest.mark.parametrize("first", [24])
+def test_first_call_fills_every_divisor_s4(first):
+    G = pg.GroupTable.generate([pg.parse_cycles("(1,2)", 4), pg.parse_cycles("(1,2,3,4)", 4)])
+    oracle = _two_generated_class_reps(G)
+    pg.subgroups_of_order(G, first)
+    assert sorted(G._subgroup_classes) == _divisors(first)
+    for d in _divisors(first):
+        found = [sub.indices for sub in pg.subgroups_of_order(G, d)]
+        assert found == sorted(H for H in oracle if len(H) == d), f"d={d}"
+
+
+@pytest.mark.parametrize("first", [120, 60, 40])
+def test_first_call_fills_every_divisor_s5(sym5, first):
+    oracle = _two_generated_class_reps(sym5)
+    G = pg.GroupTable.generate(list(sym5.generators))
+    pg.subgroups_of_order(G, first)
+    assert sorted(G._subgroup_classes) == _divisors(first)
+    for d in _divisors(first):
+        found = [sub.indices for sub in pg.subgroups_of_order(G, d)]
+        assert found == sorted(H for H in oracle if len(H) == d), f"d={d}"
+
+
+@pytest.mark.parametrize("sequence", [(18, 12, 9, 6), (6, 9, 12, 18), (54,), (36,)])
+def test_stored_lattice_matches_pins_in_any_call_order(sequence):
+    pins = {m: (count, digest) for g, m, count, digest in SUBGROUP_CLASS_HASHES if g == "psl33"}
+    G = pg.GroupTable.from_file(data_path("psl33.gens"))
+    filled: set[int] = set()
+    for m in sequence:
+        subs = pg.subgroups_of_order(G, m)
+        assert (len(subs), _class_digest(subs)) == pins[m]
+        filled.update(_divisors(m))
+        assert set(G._subgroup_classes) == filled
+    # every order the calls filled in, read back from the stored lattice
+    for d in sorted(filled):
+        subs = pg.subgroups_of_order(G, d)
+        assert (len(subs), _class_digest(subs)) == pins[d], f"d={d}"
+
+
+def _counting(monkeypatch, fail_at: int | None = None) -> list[int]:
+    """Count pg.sorted_rows calls (one per class gathered); raise on call fail_at."""
+    calls = [0]
+    inner = pg.sorted_rows
+
+    def counted(a):
+        calls[0] += 1
+        if calls[0] == fail_at:
+            raise RuntimeError("interrupted")
+        return inner(a)
+
+    monkeypatch.setattr(pg, "sorted_rows", counted)
+    return calls
+
+
+def test_stored_order_needs_no_gather(monkeypatch):
+    G = pg.GroupTable.from_file(data_path("psl33.gens"))
+    pg.subgroups_of_order(G, 18)
+    calls = _counting(monkeypatch)
+    assert len(pg.subgroups_of_order(G, 9)) == 3
+    assert len(pg.subgroups_of_order(G, 6)) == 4
+    assert calls[0] == 0
+    # order 12 is new; only its classes of orders 4 and 12 are gathered
+    assert len(pg.subgroups_of_order(G, 12)) == 2
+    assert calls[0] == 2 + 2
+
+
+def _snapshot(G: pg.GroupTable) -> dict:
+    return {d: [(least.tolist(), gens) for least, gens in recs]
+            for d, recs in G._subgroup_classes.items()}
+
+
+def test_interrupted_run_leaves_lattice_unchanged(monkeypatch):
+    pins = {m: digest for g, m, _, digest in SUBGROUP_CLASS_HASHES if g == "psl33"}
+    G = pg.GroupTable.from_file(data_path("psl33.gens"))
+    pg.subgroups_of_order(G, 6)
+    before = _snapshot(G)
+    # 18 after 6 gathers 3 classes of order 9 and 5 of order 18: fail mid-way
+    calls = _counting(monkeypatch, fail_at=5)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        pg.subgroups_of_order(G, 18)
+    assert calls[0] == 5
+    assert _snapshot(G) == before
+    monkeypatch.undo()
+    for m in (18, 9):
+        assert _class_digest(pg.subgroups_of_order(G, m)) == pins[m]
+
+
 def test_subgroups_of_order_78_is_fast_and_empty(psl33):
     # 78 = 2*3*13 has three primes: the unrestricted closure with a lattice
     # that kept every conjugate took 102 s on 2 vCPUs; only solvable groups
