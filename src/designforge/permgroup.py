@@ -567,16 +567,16 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
     stored generator of H (`_normalizing`), and each surviving coset H*y is
     tried once, by its smallest cyclic generator.
 
-    A new subgroup K is keyed once for its whole class: one gather gives
-    g^-1 K g for every g, every distinct conjugate goes into the run's
-    conjugate set, and the lexicographically least one is stored, with its
-    generators conjugated by the same g.  Extending only these
-    representatives still reaches every class, on both routes: if
-    K = <H, y> then K^g = <H^g, y^g>, y^g is in H^g * z for the cyclic
-    generator z tried for that coset, and y normalizes H iff y^g normalizes
-    H^g.  The output is the sorted list of the least members of the order-m
-    classes, so it does not depend on the order in which classes are
-    reached.
+    A new subgroup K is keyed once for its whole class: N = N_G(K) comes from
+    `_normalizing`, one gather gives g^-1 K g for one g in each coset N*g,
+    so each distinct conjugate once, these go into the run's conjugate set,
+    and the lexicographically least one is stored, with its generators
+    conjugated by the same g.  Extending only these representatives still
+    reaches every class, on both routes: if K = <H, y> then
+    K^g = <H^g, y^g>, y^g is in H^g * z for the cyclic generator z tried for
+    that coset, and y normalizes H iff y^g normalizes H^g.  The output is
+    the sorted list of the least members of the order-m classes, so it does
+    not depend on the order in which classes are reached.
 
     The run reaches every class of every order d | m, not only of order m:
     a subgroup K of order d is <H, y> with H a normal subgroup of prime
@@ -632,7 +632,7 @@ def _new_subgroup_classes(
         cyc_elements[y] = elems
     cyc_reps = np.array(sorted(cyc_elements), dtype=np.int64)
 
-    everything = np.arange(G.order, dtype=np.int64)[:, None]
+    everything = np.arange(G.order, dtype=np.int64)
     found = {d: [] for d in range(2, m + 1) if m % d == 0 and d not in known}
     # uint16 bytes of each conjugate met in this run (T is uint16)
     conjugates: set[bytes] = set()
@@ -641,13 +641,22 @@ def _new_subgroup_classes(
     def store(K: np.ndarray, gens: tuple[int, ...]) -> None:
         if len(K) in known or K.astype(np.uint16).tobytes() in conjugates:
             return
-        conj = T[T[inv[everything], K], everything]  # row g: g^-1 K g
+        in_K = np.zeros(G.order, dtype=bool)
+        in_K[K] = True
+        N = _normalizing(T, inv, in_K, gens, everything)
+        # g^-1 K g depends only on the coset N*g: one g per coset, its least
+        # element, which is the minimum of the column T[N, g]
+        reps = everything.copy()
+        for n in N[1:]:
+            np.minimum(reps, T[n], out=reps)
+        reps = np.unique(reps)[:, None]
+        conj = T[T[inv[reps], K], reps]  # row i: reps[i]^-1 K reps[i]
         members = sorted_rows(conj)
         conjugates.update(row.tobytes() for row in members)
         least = members[0].astype(np.int64)
         in_least = np.zeros(G.order, dtype=bool)
         in_least[least] = True
-        g = int(np.flatnonzero(in_least[conj].all(axis=1))[0])
+        g = int(reps[np.flatnonzero(in_least[conj].all(axis=1))[0], 0])
         rec = (least, tuple(int(T[T[inv[g], x], g]) for x in gens))
         found[len(least)].append(rec)
         if len(least) < m:
