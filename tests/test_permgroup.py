@@ -411,8 +411,8 @@ def _least_conjugate(G: pg.GroupTable, H: tuple[int, ...]) -> tuple[int, ...]:
 
 def _two_generated_class_reps(G: pg.GroupTable) -> set[tuple[int, ...]]:
     """Least member of the class of every <a, b>, a running over one element of
-    each conjugacy class and b over the whole group: every subgroup of S5 is
-    2-generated, and <x, y>^g = <x^g, y^g> lets x be a class representative."""
+    each conjugacy class and b over the whole group: every subgroup of S5
+    (so of S4) is 2-generated, and <x, y>^g = <x^g, y^g> lets x be a class representative."""
     T = G.mul_table()
     inv = G.inverse_indices()
     everything = np.arange(G.order, dtype=np.int64)
@@ -454,21 +454,12 @@ def _divisors(m: int) -> list[int]:
     return [d for d in range(2, m + 1) if m % d == 0]
 
 
-@pytest.mark.parametrize("first", [24])
-def test_first_call_fills_every_divisor_s4(first):
-    G = pg.GroupTable.generate([pg.parse_cycles("(1,2)", 4), pg.parse_cycles("(1,2,3,4)", 4)])
+@pytest.mark.parametrize("n, first", [(4, 24), (5, 120), (5, 60), (5, 40)])
+def test_first_call_fills_every_divisor(n, first):
+    # S_n from (1,2) and (1,2,...,n); S4 and S5 have no subgroup of order 40
+    cycle = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")"
+    G = pg.GroupTable.generate([pg.parse_cycles("(1,2)", n), pg.parse_cycles(cycle, n)])
     oracle = _two_generated_class_reps(G)
-    pg.subgroups_of_order(G, first)
-    assert sorted(G._subgroup_classes) == _divisors(first)
-    for d in _divisors(first):
-        found = [sub.indices for sub in pg.subgroups_of_order(G, d)]
-        assert found == sorted(H for H in oracle if len(H) == d), f"d={d}"
-
-
-@pytest.mark.parametrize("first", [120, 60, 40])
-def test_first_call_fills_every_divisor_s5(sym5, first):
-    oracle = _two_generated_class_reps(sym5)
-    G = pg.GroupTable.generate(list(sym5.generators))
     pg.subgroups_of_order(G, first)
     assert sorted(G._subgroup_classes) == _divisors(first)
     for d in _divisors(first):
