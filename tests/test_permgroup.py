@@ -356,6 +356,10 @@ def test_normalizing_matches_definition(request, group, orders):
             assert list(pg.normalizer(sub).indices) == expected
 
 
+def _class_digest(subs: list[pg.Subgroup]) -> str:
+    return hashlib.sha256(json.dumps([s.indices for s in subs]).encode()).hexdigest()
+
+
 # (group, m, classes, sha256 of json.dumps of the representative index tuples)
 SUBGROUP_CLASS_HASHES = [
     ("psl33", 2, 1, "78538adbd1931183c822025887f44029213564f38b498d7984f344d339d4966c"),
@@ -391,8 +395,7 @@ SUBGROUP_CLASS_HASHES = [
 def test_subgroup_class_representatives_pinned(request, group, m, count, digest):
     subs = pg.subgroups_of_order(request.getfixturevalue(group), m)
     assert len(subs) == count
-    got = hashlib.sha256(json.dumps([s.indices for s in subs]).encode()).hexdigest()
-    assert got == digest
+    assert _class_digest(subs) == digest
 
 
 @pytest.fixture(scope="module")
@@ -444,10 +447,6 @@ def test_subgroups_of_order_s5_against_oracle(sym5):
 
 # The tests below build fresh groups: the session fixtures' stored lattices
 # depend on which tests ran before.
-
-
-def _class_digest(subs: list[pg.Subgroup]) -> str:
-    return hashlib.sha256(json.dumps([s.indices for s in subs]).encode()).hexdigest()
 
 
 def _divisors(m: int) -> list[int]:
