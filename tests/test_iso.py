@@ -160,6 +160,103 @@ def test_refine_reaches_a_fixed_point(psl33):
         assert len(np.unique(bc2)) == len(np.unique(bc))
 
 
+def _refine_by_scatter(pre: iso._Precomp, pc: np.ndarray, bc: np.ndarray):
+    """`iso._refine` as it was before the gather indices: the block term
+    through a fresh b x b index each round, the point term by `np.add.at`."""
+    U64 = np.uint64
+    arr = pre.design.array
+    k = pre.design.k
+    meet = pre.meet.astype(np.intp)
+    sig = pre.pairs[2]
+    sizes = np.arange(k + 1, dtype=U64) * U64(0x9DDFEA08EB382D69)
+    b_vals, b_ids = np.unique(bc, return_inverse=True)
+    n_p, n_b = len(np.unique(pc)), len(b_vals)
+    while True:
+        table = iso._mix(iso._mix(b_vals)[:, None] ^ sizes[None, :])
+        bsig = table.ravel()[meet + b_ids * (k + 1)].sum(axis=1)
+        bpoint = iso._mix(pc * U64(3) + U64(1))[arr].sum(axis=1)
+        bc = iso._mix(bc) ^ iso._mix(bsig) ^ iso._mix(bpoint)
+        pblock = np.zeros(pre.design.v, dtype=U64)
+        np.add.at(pblock, arr, iso._mix(bc * U64(5) + U64(2))[:, None])
+        ppair = iso._mix(sig ^ iso._mix(pc * U64(7) + U64(3))[None, :]).sum(axis=1)
+        pc = iso._mix(pc) ^ iso._mix(pblock) ^ iso._mix(ppair)
+        b_vals, b_ids = np.unique(bc, return_inverse=True)
+        m_p, m_b = len(np.unique(pc)), len(b_vals)
+        if m_p + m_b <= n_p + n_b:
+            return pc, bc
+        n_p, n_b = m_p, m_b
+
+
+def _individualized(pc: np.ndarray) -> np.ndarray | None:
+    """pc with one point of its smallest non-singleton class given a fresh
+    colour, chosen as `iso._search` chooses it at depth 0 (None if discrete)."""
+    vals, counts = np.unique(pc, return_counts=True)
+    sel = np.flatnonzero(counts > 1)
+    if not len(sel):
+        return None
+    color = vals[sel[np.lexsort((vals[sel], counts[sel]))[0]]]
+    out = pc.copy()
+    out[np.flatnonzero(pc == color)[0]] = iso._mix(np.array([color ^ np.uint64(0xABCD)]))[0]
+    return out
+
+
+def test_refine_matches_scatter_oracle(psl33, pgl33):
+    designs = [
+        FANO,
+        dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3),
+        dz.from_base_block(pgl33, BASE_BLOCK_LAMBDA6),
+        *_random_designs(30, 7),
+    ]
+    # the random designs have uneven replication and points on no block
+    assert any(len(np.unique(np.bincount(D.array.ravel(), minlength=D.v))) > 1
+               for D in designs)
+    assert any(np.bincount(D.array.ravel(), minlength=D.v).min() == 0 for D in designs)
+    individualized = 0
+    for D in designs:
+        pre = iso._Precomp(D)
+        pc, bc = pre.colors
+        # where `_Precomp.colors` starts, its result, and one point individualized
+        first = (iso._row_multiset_hash(pre.pairs[2].view(np.int64)), np.full(D.b, 2, np.uint64))
+        starts = [first, (pc, bc)]
+        npc = _individualized(pc)
+        if npc is not None:
+            starts.append((npc, bc))
+            individualized += 1
+        for spc, sbc in starts:
+            got = iso._refine(pre, spc, sbc)
+            want = _refine_by_scatter(pre, spc, sbc)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert individualized >= 3
+
+
+# sha256 of json.dumps of the bijections are_isomorphic(D, D.relabel(pi))
+# returns for three random.Random(seed) relabellings pi, recorded before the
+# refinement's gather indices were kept per design
+BIJECTION_SHA256 = {
+    "fano": (11, "568efd6ec51cca36f7f3cbe3b7b5775e78f059d2177ca6c898039abfcd829798"),
+    "lambda3": (12, "f6b4afd625cb2997bce8df0666efe9b637d5fef0da8a2353e257186450a6677d"),
+    "lambda6": (13, "349ffee54069325ff9ea20017af7f17d067436696b2bd6c0c56d63b6f6508f84"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIJECTION_SHA256))
+def test_bijections_pinned(psl33, pgl33, name):
+    D = {
+        "fano": lambda: FANO,
+        "lambda3": lambda: dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3),
+        "lambda6": lambda: dz.from_base_block(pgl33, BASE_BLOCK_LAMBDA6),
+    }[name]()
+    seed, digest = BIJECTION_SHA256[name]
+    rng = random.Random(seed)
+    bijections = []
+    for _ in range(3):
+        relabeled, _ = _random_relabel(D, rng)
+        cert = iso.are_isomorphic(D, relabeled)
+        assert cert.isomorphic
+        bijections.append(cert.bijection)
+    assert hashlib.sha256(json.dumps(bijections).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name", ["fano", "lambda3"])
 def test_fingerprint_fields_pinned(psl33, name):
     D = FANO if name == "fano" else dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
