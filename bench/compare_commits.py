@@ -8,12 +8,16 @@ PARENT_DIR and CHANGE_DIR are two source checkouts (for example two
 the script runs `perfbench/run.py --trace 0` with seed SEED0 + i in both
 checkouts, the parent first on even i and the change first on odd i, so a
 slow drift of the machine falls on both sides.  It then runs one traced pair
-per workload, and in each checkout it records the two pinned screen digests,
-the sha256 of the `screen_report.json` that `designforge screen --family
-all` writes, and the sha256 of the subgroup class representatives of the 22
-pinned (group, m) pairs.  The JSON written to --out holds every run, the
-median and quartiles of each end-to-end metric, and in how many pairs the
-change was lower.
+per workload, and one untraced `psl33-lambda12` run with --seconds 1 per
+checkout, a by-hand record of that workload's wall_s and peak_rss_mb (it is
+not in BENCHMARK.json and not run in pairs).  In each checkout it records the
+two pinned screen digests, the sha256 of the `screen_report.json` that
+`designforge screen --family all` writes, the sha256 of the subgroup class
+representatives of the 22 pinned (group, m) pairs, and an iso digest: the
+fingerprints of the lambda=3 and lambda=6 reference designs and the
+bijections of tests/test_iso.py::test_bijections_pinned.  The JSON written
+to --out holds every run, the median and quartiles of each end-to-end
+metric, and in how many pairs the change was lower.
 """
 
 from __future__ import annotations
@@ -43,28 +47,44 @@ TRACED_LAYERS = {
 # digest of test_screen_reports_pinned, the CLI's screen_report.json, and the
 # class representatives of the (group, m) pairs of
 # tests/test_permgroup.py::SUBGROUP_CLASS_HASHES, computed on one group per
-# generator file in the pinned order, so later orders reuse the stored lattice
+# generator file in the pinned order, so later orders reuse the stored lattice;
+# then the fingerprints of the lambda=3 (psl33) and lambda=6 (pgl33) base-block
+# designs of tests/conftest.py, and the bijections that
+# tests/test_iso.py::test_bijections_pinned pins
 _DIGESTS = """
-import hashlib, json, sys
+import dataclasses, hashlib, json, random, sys
 from pathlib import Path
-from designforge import data_path, permgroup as pg, screen as sc
+from designforge import data_path, design as dz, iso, permgroup as pg, screen as sc
 from designforge.cli import main
 reports = sc.case_screen()
 rows = [(r.case.label(), r.v_factorization, r.v_fraction) for r in reports]
 doc = json.dumps([r.to_dict() for r in reports], sort_keys=True)
 main(["screen", "--family", "all", "--out", sys.argv[1]])
+base_blocks = {"psl33": (3, 7, 29, 30, 67, 68, 84, 96, 100, 101, 107, 134),
+               "pgl33": (30, 31, 40, 44, 56, 67, 71, 84, 85, 93, 122, 125)}
+designs = {"fano": dz.Design(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
+                                 (2, 3, 6), (2, 4, 5)])}
 classes = []
 for name, orders in (("psl33", (2, 3, 4, 6, 8, 9, 12, 13, 16, 18, 24, 26, 27, 36, 39, 52, 54)),
                      ("pgl33", (6, 12, 18, 24, 36))):
     G = pg.GroupTable.from_file(data_path(name + ".gens"))
     classes += [[name, m, [s.indices for s in pg.subgroups_of_order(G, m)]] for m in orders]
+    designs[name] = dz.from_base_block(G, tuple(p - 1 for p in base_blocks[name]))
     del G
+iso_doc = [dataclasses.astuple(iso.fingerprint(designs[n])) for n in ("psl33", "pgl33")]
+for seed, name in ((11, "fano"), (12, "psl33"), (13, "pgl33")):
+    rng, D = random.Random(seed), designs[name]
+    for _ in range(3):
+        pi = list(range(D.v))
+        rng.shuffle(pi)
+        iso_doc.append(iso.are_isomorphic(D, D.relabel(pi)).bijection)
 print(json.dumps({
     "factorizations_sha256": hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
     "reports_sha256": hashlib.sha256(doc.encode()).hexdigest(),
     "screen_report_json_sha256": hashlib.sha256(
         (Path(sys.argv[1]) / "screen_report.json").read_bytes()).hexdigest(),
     "subgroup_classes_sha256": hashlib.sha256(json.dumps(classes).encode()).hexdigest(),
+    "iso_sha256": hashlib.sha256(json.dumps(iso_doc).encode()).hexdigest(),
 }))
 """
 
@@ -163,6 +183,14 @@ def main() -> int:
                        f"--seconds {args.seconds} --trace 1",
             **{side: {k: traced[side][k] for k in TRACED_LAYERS[workload]} for side in sides},
         }
+    by_hand = {side: run_bench(path, "psl33-lambda12", args.seed0, 1, 0)
+               for side, path in sides.items()}
+    doc["psl33-lambda12 by hand"] = {
+        "command": f"python3 perfbench/run.py --workload psl33-lambda12 --seed {args.seed0} "
+                   "--seconds 1 --trace 0, parent first",
+        **{side: {k: by_hand[side][k] for k in ("correct", "wall_s", "peak_rss_mb")}
+           for side in sides},
+    }
     doc["outputs"] = {side: digests(path) for side, path in sides.items()}
     doc["outputs"]["identical"] = doc["outputs"]["parent"] == doc["outputs"]["change"]
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
