@@ -161,8 +161,8 @@ def test_refine_reaches_a_fixed_point(psl33):
 
 
 def _refine_by_scatter(pre: iso._Precomp, pc: np.ndarray, bc: np.ndarray):
-    """`iso._refine` as it was before the gather indices: the block term
-    through a fresh b x b index each round, the point term by `np.add.at`."""
+    """The reference `iso._refine` must match bit for bit: the block term
+    through a b x b index made each round, the point term by `np.add.at`."""
     U64 = np.uint64
     arr = pre.design.array
     k = pre.design.k
