@@ -13,7 +13,9 @@ checkout, a by-hand record of that workload's wall_s and peak_rss_mb (it is
 not in BENCHMARK.json and not run in pairs).  In each checkout it records the
 two pinned screen digests, the sha256 of the `screen_report.json` that
 `designforge screen --family all` writes, the sha256 of the subgroup class
-representatives of the 22 pinned (group, m) pairs, and an iso digest: the
+representatives of the 22 pinned (group, m) pairs, the sha256 of the stored
+lattice records (least member and generators of every class) of
+tests/test_permgroup.py::LATTICE_RECORD_HASHES, and an iso digest: the
 fingerprints of the lambda=3 and lambda=6 reference designs and the
 bijections of tests/test_iso.py::test_bijections_pinned.  The JSON written
 to --out holds every run, the median and quartiles of each end-to-end
@@ -48,7 +50,8 @@ TRACED_LAYERS = {
 # class representatives of the (group, m) pairs of
 # tests/test_permgroup.py::SUBGROUP_CLASS_HASHES, computed on one group per
 # generator file in the pinned order, so later orders reuse the stored lattice;
-# then the fingerprints of the lambda=3 (psl33) and lambda=6 (pgl33) base-block
+# the lattice records of tests/test_permgroup.py::LATTICE_RECORD_HASHES, each
+# on a fresh group; then the fingerprints of the lambda=3 (psl33) and lambda=6 (pgl33) base-block
 # designs of tests/conftest.py, and the bijections that
 # tests/test_iso.py::test_bijections_pinned pins
 _DIGESTS = """
@@ -71,6 +74,14 @@ for name, orders in (("psl33", (2, 3, 4, 6, 8, 9, 12, 13, 16, 18, 24, 26, 27, 36
     classes += [[name, m, [s.indices for s in pg.subgroups_of_order(G, m)]] for m in orders]
     designs[name] = dz.from_base_block(G, tuple(p - 1 for p in base_blocks[name]))
     del G
+records = []
+for name, orders in (("psl33", (18, 12)), ("pgl33", (36, 24))):
+    G = pg.GroupTable.from_file(data_path(name + ".gens"))
+    for m in orders:
+        pg.subgroups_of_order(G, m)
+    records.append(sorted((d, [(least.tolist(), gens) for least, gens in recs])
+                          for d, recs in G._subgroup_classes.items()))
+    del G
 iso_doc = [dataclasses.astuple(iso.fingerprint(designs[n])) for n in ("psl33", "pgl33")]
 for seed, name in ((11, "fano"), (12, "psl33"), (13, "pgl33")):
     rng, D = random.Random(seed), designs[name]
@@ -84,6 +95,8 @@ print(json.dumps({
     "screen_report_json_sha256": hashlib.sha256(
         (Path(sys.argv[1]) / "screen_report.json").read_bytes()).hexdigest(),
     "subgroup_classes_sha256": hashlib.sha256(json.dumps(classes).encode()).hexdigest(),
+    "lattice_records_sha256": [hashlib.sha256(json.dumps(r).encode()).hexdigest()
+                               for r in records],
     "iso_sha256": hashlib.sha256(json.dumps(iso_doc).encode()).hexdigest(),
 }))
 """

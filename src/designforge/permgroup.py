@@ -22,6 +22,8 @@ from .numtheory import factorize
 DEFAULT_CAP = 10_000_000
 # order**2 table entries at 2 bytes each; 16000**2 is ~0.5 GB
 _MUL_TABLE_MAX_ORDER = 16000
+# bytes of one block of multiplication-table rows gathered at a time
+_GATHER_BYTES = 1 << 20
 
 
 class CapExceededError(RuntimeError):
@@ -199,11 +201,15 @@ class GroupTable:
         self._mul_table: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
+        self._powers: np.ndarray | None = None
         self._pair_orbits: tuple[np.ndarray, np.ndarray] | None = None
         # the subgroup lattice found so far: order d -> (least member,
         # generators) of every conjugacy class of order d, sorted by least
         # member; an order is a key only once all its classes are known
         self._subgroup_classes: dict[int, list[tuple[np.ndarray, tuple[int, ...]]]] = {}
+        # N_G(H) as sorted uint16 indices for every stored class, keyed by the
+        # uint16 bytes of its least member H; written with the lattice
+        self._normalizers: dict[bytes, np.ndarray] = {}
 
     # -- construction
 
@@ -285,32 +291,32 @@ class GroupTable:
 
     def inverse_indices(self) -> np.ndarray:
         if self._inv is None:
-            inv_rows = np.empty_like(self._imgs)
-            points = np.arange(self.degree, dtype=self._imgs.dtype)
-            np.put_along_axis(inv_rows, self._imgs, points[None, :], axis=1)
-            self._inv = np.fromiter(
-                (self._index[inv_rows[i].tobytes()] for i in range(self.order)),
-                dtype=np.int64,
-                count=self.order,
-            )
+            # y^-1 = y^(o(y)-1); the identity (o = 1) reads row 0, which is itself
+            orders = self.element_orders()
+            self._inv = self.power_table()[
+                np.maximum(orders - 2, 0), np.arange(self.order)
+            ].astype(np.int64)
         return self._inv
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            T = self.mul_table()
-            orders = np.zeros(self.order, dtype=np.int64)
-            orders[0] = 1
-            cur = np.arange(self.order, dtype=np.int64)
-            alive = np.flatnonzero(cur)
-            k = 1
-            while alive.size:
-                k += 1
-                cur[alive] = T[cur[alive], alive]
-                done = alive[cur[alive] == 0]
-                orders[done] = k
-                alive = alive[cur[alive] != 0]
-            self._orders = orders
+            self._orders = (self.power_table() == 0).argmax(axis=0).astype(np.int64) + 1
         return self._orders
+
+    def power_table(self) -> np.ndarray:
+        """(e, order) uint16 table whose row k-1 holds y^k for every element y,
+        where e is the largest element order, so row o(y)-1 of column y is the
+        identity and column y's first o(y) rows are the elements of <y>."""
+        if self._powers is None:
+            T = self.mul_table()
+            everything = np.arange(self.order)
+            rows = [everything.astype(np.uint16)]
+            done = rows[0] == 0
+            while not done.all():
+                rows.append(T[rows[-1], everything])
+                done |= rows[-1] == 0
+            self._powers = np.array(rows)
+        return self._powers
 
     def mul_table(self) -> np.ndarray:
         """Dense (order, order) multiplication table; rows built by left-BFS."""
@@ -431,15 +437,12 @@ def set_orbit(rows: np.ndarray, points: Sequence[int]) -> np.ndarray:
 
 def orbits(H: Subgroup | GroupTable) -> list[tuple[int, ...]]:
     """Point orbits, each sorted, the list sorted by (length, smallest point)."""
-    rows = H.images_array()
-    seen = np.zeros(rows.shape[1], dtype=bool)
-    out = []
-    for start in range(rows.shape[1]):
-        if seen[start]:
-            continue
-        orbit = set_orbit(rows, (start,))[:, 0]
-        seen[orbit] = True
-        out.append(tuple(orbit.tolist()))
+    # the rows hold every element, so column p's minimum is the least point
+    # of p's orbit
+    least = H.images_array().min(axis=0)
+    by_orbit = np.argsort(least, kind="stable")
+    _, sizes = np.unique(least, return_counts=True)
+    out = [tuple(orb.tolist()) for orb in np.split(by_orbit, np.cumsum(sizes)[:-1])]
     out.sort(key=lambda orb: (len(orb), orb[0]))
     return out
 
@@ -452,7 +455,8 @@ def pair_orbit_table(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
         labels = np.full((v, v), -1, dtype=np.int32)
         sizes = []
         for p in range(v):
-            for q in range(p + 1, v):
+            for q in np.flatnonzero(labels[p, p + 1:] < 0) + p + 1:
+                # an orbit found earlier in this row may have labelled q
                 if labels[p, q] >= 0:
                     continue
                 orbit = set_orbit(rows, (p, q))
@@ -486,16 +490,6 @@ def set_stabilizer(G: GroupTable, points: Iterable[int]) -> Subgroup:
 # subgroup enumeration up to conjugacy
 
 
-def _powers_of(T: np.ndarray, y: int) -> np.ndarray:
-    """Sorted element indices of the cyclic subgroup generated by y."""
-    elems = [0]
-    cur = y
-    while cur != 0:
-        elems.append(cur)
-        cur = int(T[cur, y])
-    return np.array(sorted(elems), dtype=np.int64)
-
-
 def _normalizing(
     T: np.ndarray, inv: np.ndarray, in_H: np.ndarray, gens: tuple[int, ...], ys: np.ndarray
 ) -> np.ndarray:
@@ -510,13 +504,39 @@ def _normalizing(
 
 
 def normalizer(H: Subgroup) -> Subgroup:
-    """N_G(H) = {y : y^-1 H y = H}, by `_normalizing` with H's elements as generators."""
+    """N_G(H) = {y : y^-1 H y = H}: kept with the lattice for a stored class
+    representative, else by `_normalizing` with H's elements as generators."""
     G = H.parent
+    kept = G._normalizers.get(np.array(H.indices, dtype=np.uint16).tobytes())
+    if kept is not None:
+        return Subgroup(G, tuple(kept.tolist()))
     in_H = np.zeros(G.order, dtype=bool)
     in_H[list(H.indices)] = True
     everything = np.arange(G.order, dtype=np.int64)
     ys = _normalizing(G.mul_table(), G.inverse_indices(), in_H, H.indices, everything)
     return Subgroup(G, tuple(ys.tolist()))
+
+
+def _class_labels(G: GroupTable) -> np.ndarray:
+    """The least element of each element's conjugacy class.
+
+    Each label only falls to the label of a conjugate: along the conjugation
+    map y -> s^-1 y s of every generator s, and by pointer jumping.  At the
+    fixed point the labels are constant along every map's cycles, so on each
+    class, and the least member of a class keeps its own index.
+    """
+    T = G.mul_table()
+    inv = G.inverse_indices()
+    maps = [T[T[inv[s]], s] for s in map(G.index_of, G.generators)]
+    labels = np.arange(G.order)
+    while True:
+        new = labels
+        for conj in maps:
+            new = np.minimum(new, new[conj])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def _closure_capped(
@@ -553,25 +573,35 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
     """All subgroups of order m, one representative per conjugacy class.
 
     Bottom-up lattice closure that stores one subgroup per conjugacy class:
-    seed with every cyclic subgroup whose order divides m, then repeatedly
-    extend stored subgroups by one element of order dividing m, keeping a
-    result iff its order divides m.  When every group of order dividing m
-    is solvable, each extension step may be restricted to normalizing
-    elements (every such subgroup tops a chain of prime-index normal
-    subgroups); otherwise the unrestricted capped closure is used.  Below
-    360 the only non-abelian simple groups are A5 (order 60) and PSL(2,7)
-    (order 168), so for m < 360 every group of order dividing m is solvable
-    unless 60 | m or 168 | m; from 360 on, Burnside's p^a q^b theorem is
-    used (at most two distinct primes).  On that solvable route the
-    candidates are first cut down to N_G(H) with one vectorized gather per
-    stored generator of H (`_normalizing`), and each surviving coset H*y is
-    tried once, by its smallest cyclic generator.
+    seed with one cyclic subgroup per class whose order divides m, then
+    repeatedly extend stored subgroups by one element of order dividing m,
+    keeping a result iff its order divides m.  When every group of order
+    dividing m is solvable, each extension step may be restricted to
+    normalizing elements (every such subgroup tops a chain of prime-index
+    normal subgroups); otherwise the unrestricted capped closure is used.
+    Below 360 the only non-abelian simple groups are A5 (order 60) and
+    PSL(2,7) (order 168), so for m < 360 every group of order dividing m is
+    solvable unless 60 | m or 168 | m; from 360 on, Burnside's p^a q^b
+    theorem is used (at most two distinct primes).  On that solvable route
+    the candidates are first cut down to N_G(H) with one vectorized gather
+    per stored generator of H (`_normalizing`), and each surviving coset H*y
+    is tried once, by its smallest cyclic generator.
+
+    The cyclic layer reads G's power table: <y> is the first o(y) powers of
+    y, and it is named by its least generator, the least y^k with
+    gcd(k, o(y)) = 1.  Two cyclic subgroups are conjugate iff a generator of
+    one is conjugate to a generator of the other, so the least conjugacy
+    class label (`_class_labels`) over its generators keys the class of
+    <y>.  Only the first cyclic subgroup of each key, by least generator, is
+    seeded: the one that would be gathered first, as every later one lies
+    in its class.
 
     A new subgroup K is keyed once for its whole class: N = N_G(K) comes from
     `_normalizing`, one gather gives g^-1 K g for one g in each coset N*g,
     so each distinct conjugate once, these go into the run's conjugate set,
     and the lexicographically least one is stored, with its generators
-    conjugated by the same g.  Extending only these representatives still
+    conjugated by the same g, and its normalizer g^-1 N g is kept for
+    `normalizer`.  Extending only these representatives still
     reaches every class, on both routes: if K = <H, y> then
     K^g = <H^g, y^g>, y^g is in H^g * z for the cyclic generator z tried for
     that coset, and y normalizes H iff y^g normalizes H^g.  The output is
@@ -587,7 +617,8 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
     other call seeds its queue with every stored class whose order divides
     m and skips a subgroup of a stored order without a gather, since its
     class is already queued.  The run works on local additions and stores
-    them only at its end, so an interrupted run leaves G as it was.
+    them, classes and normalizers, only at its end, so an interrupted run
+    leaves G as it was.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -598,45 +629,48 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
         return [trivial_subgroup(G)]
     known = G._subgroup_classes
     if m not in known:
-        known.update(_new_subgroup_classes(G, m))
+        classes, normalizers = _new_subgroup_classes(G, m)
+        known.update(classes)
+        G._normalizers.update(normalizers)
     return [Subgroup(G, tuple(least.tolist())) for least, _ in known[m]]
 
 
 def _new_subgroup_classes(
     G: GroupTable, m: int
-) -> dict[int, list[tuple[np.ndarray, tuple[int, ...]]]]:
+) -> tuple[dict[int, list[tuple[np.ndarray, tuple[int, ...]]]], dict[bytes, np.ndarray]]:
     """The classes of every order d | m (d > 1) not yet stored on G, found by
-    the lattice closure that `subgroups_of_order` describes."""
+    the lattice closure that `subgroups_of_order` describes, and the
+    normalizer of each new least member, keyed as on `G._normalizers`."""
     known = G._subgroup_classes
     T = G.mul_table()
     inv = G.inverse_indices()
     orders = G.element_orders()
+    powers = G.power_table()
     solvable_route = (
         m % 60 != 0 and m % 168 != 0 if m < 360 else len(factorize(m)) <= 2
     )
 
     cand = np.flatnonzero((m % orders) == 0)
     cand = cand[cand != 0]
-
-    # one representative generator per cyclic subgroup
-    cyc_elements: dict[int, np.ndarray] = {}
-    seen_gen = np.zeros(G.order, dtype=bool)
-    for y in cand:
-        y = int(y)
-        if seen_gen[y]:
-            continue
-        elems = _powers_of(T, y)
-        for z in elems:
-            if orders[z] == orders[y]:
-                seen_gen[z] = True
-        cyc_elements[y] = elems
-    cyc_reps = np.array(sorted(cyc_elements), dtype=np.int64)
+    # row k-1 of generates: y^k generates <y>; y names <y> iff it is the least
+    cand_powers = powers[:, cand]
+    k = np.arange(1, len(powers) + 1)[:, None]
+    generates = (k <= orders[cand]) & (np.gcd(k, orders[cand]) == 1)
+    named = np.where(generates, cand_powers, G.order).min(axis=0) == cand
+    cyc_reps = cand[named]
+    # one seed per class of cyclic subgroups: the first <y> of each class key
+    class_keys = np.where(
+        generates[:, named], _class_labels(G)[cand_powers[:, named]], G.order
+    ).min(axis=0)
+    seeds = cyc_reps[np.sort(np.unique(class_keys, return_index=True)[1])]
 
     everything = np.arange(G.order, dtype=np.int64)
     found = {d: [] for d in range(2, m + 1) if m % d == 0 and d not in known}
+    normalizers: dict[bytes, np.ndarray] = {}
     # uint16 bytes of each conjugate met in this run (T is uint16)
     conjugates: set[bytes] = set()
     queue = [rec for d, recs in known.items() if m % d == 0 for rec in recs]
+    step = max(1, _GATHER_BYTES // T[0].nbytes)
 
     def store(K: np.ndarray, gens: tuple[int, ...]) -> None:
         if len(K) in known or K.astype(np.uint16).tobytes() in conjugates:
@@ -646,10 +680,10 @@ def _new_subgroup_classes(
         N = _normalizing(T, inv, in_K, gens, everything)
         # g^-1 K g depends only on the coset N*g: one g per coset, its least
         # element, which is the minimum of the column T[N, g]
-        reps = everything.copy()
-        for n in N[1:]:
-            np.minimum(reps, T[n], out=reps)
-        reps = np.unique(reps)[:, None]
+        reps = np.minimum.reduce(
+            [T[N[i : i + step]].min(axis=0) for i in range(0, len(N), step)]
+        )
+        reps = np.unique(reps).astype(np.int64)[:, None]
         conj = T[T[inv[reps], K], reps]  # row i: reps[i]^-1 K reps[i]
         members = sorted_rows(conj)
         conjugates.update(row.tobytes() for row in members)
@@ -659,11 +693,12 @@ def _new_subgroup_classes(
         g = int(reps[np.flatnonzero(in_least[conj].all(axis=1))[0], 0])
         rec = (least, tuple(int(T[T[inv[g], x], g]) for x in gens))
         found[len(least)].append(rec)
+        normalizers[members[0].tobytes()] = np.sort(T[T[inv[g], N], g])
         if len(least) < m:
             queue.append(rec)
 
-    for rep in cyc_reps:
-        store(cyc_elements[int(rep)], (int(rep),))
+    for y in seeds:
+        store(np.sort(powers[: orders[y], y]).astype(np.int64), (int(y),))
 
     head = 0
     while head < len(queue):
@@ -683,7 +718,7 @@ def _new_subgroup_classes(
         _, first = np.unique(cosets.T, axis=0, return_index=True)
         for y in sorted(int(ys[c]) for c in first):
             if solvable_route:
-                K = np.unique(T[np.ix_(H, cyc_elements[y])])
+                K = np.unique(T[np.ix_(H, powers[: orders[y], y])])
             else:
                 K = _closure_capped(T, H, gens, y, cap=m)
             if K is not None and m % len(K) == 0:
@@ -691,7 +726,7 @@ def _new_subgroup_classes(
 
     for recs in found.values():
         recs.sort(key=lambda rec: rec[0].tolist())
-    return found
+    return found, normalizers
 
 
 def are_conjugate(G: GroupTable, H1: Subgroup, H2: Subgroup) -> Permutation | None:

@@ -135,7 +135,8 @@ def test_index_arithmetic(sym4):
 
 @pytest.mark.parametrize("group", ["sym4", "psl33", "pgl33"])
 def test_inverse_indices_invert_every_element(request, group):
-    # row inv[i] undoes row i, which is T[i, inv[i]] == 0 without the table
+    # row inv[i] undoes row i, checked on the image rows: the inverses
+    # themselves come from products, as powers y^(o(y)-1)
     G = request.getfixturevalue(group)
     rows = G.images_array()
     inv = G.inverse_indices()
@@ -151,6 +152,27 @@ def test_element_orders(sym4):
     assert orders == {1: 1, 2: 9, 3: 8, 4: 6}
 
 
+@pytest.mark.parametrize("group, histogram", [
+    # the class sizes of L3(3) in the ATLAS, merged by element order
+    ("psl33", {1: 1, 2: 117, 3: 728, 4: 702, 6: 936, 8: 1404, 13: 1728}),
+    ("pgl33", {1: 1, 2: 351, 3: 728, 4: 936, 6: 2808, 8: 2808, 12: 1872, 13: 1728}),
+])
+def test_element_order_histograms_pinned(request, group, histogram):
+    G = request.getfixturevalue(group)
+    assert Counter(int(o) for o in G.element_orders()) == histogram
+    assert G.power_table().shape == (max(histogram), G.order)
+
+
+def test_power_table_rows_are_products(sym4):
+    T = sym4.mul_table()
+    powers = sym4.power_table()
+    assert powers.dtype == np.uint16 and powers.shape == (4, sym4.order)
+    cur = np.arange(sym4.order)
+    for row in powers:
+        assert (row == cur).all()
+        cur = T[cur, np.arange(sym4.order)]
+
+
 # ---------------------------------------------------------------------------
 # orbits and stabilizers
 
@@ -164,6 +186,20 @@ def test_orbits_identity_subgroup(psl33):
     singletons = pg.orbits(pg.trivial_subgroup(psl33))
     assert len(singletons) == 144
     assert all(len(o) == 1 for o in singletons)
+
+
+def _orbits_by_definition(H) -> list[tuple[int, ...]]:
+    rows = H.images_array()
+    found = {tuple(pg.set_orbit(rows, (p,))[:, 0].tolist()) for p in range(rows.shape[1])}
+    return sorted(found, key=lambda orb: (len(orb), orb[0]))
+
+
+def test_orbits_match_set_orbit_definition(psl33, sym5):
+    subs = [sub for m in (1, 2, 3, 4, 5, 6, 8, 10, 12, 20, 24, 60, 120)
+            for sub in pg.subgroups_of_order(sym5, m)]
+    subs += pg.subgroups_of_order(psl33, 18) + [psl33]
+    for H in subs:
+        assert pg.orbits(H) == _orbits_by_definition(H), repr(H)
 
 
 def test_set_orbit_matches_definition(psl33, pgl33):
@@ -356,6 +392,40 @@ def test_normalizing_matches_definition(request, group, orders):
             assert list(pg.normalizer(sub).indices) == expected
 
 
+def test_kept_normalizers_match_definition(psl33):
+    T = psl33.mul_table()
+    inv = psl33.inverse_indices()
+    rng = random.Random(18)
+    pg.subgroups_of_order(psl33, 18)
+    for m in (6, 9, 18):
+        for sub in pg.subgroups_of_order(psl33, m):
+            assert np.array(sub.indices, dtype=np.uint16).tobytes() in psl33._normalizers
+            expected = _normalizer_by_definition(psl33, sub.indices)
+            assert list(pg.normalizer(sub).indices) == expected
+            # a conjugate other than the least member is not kept: the fallback
+            while True:
+                g = rng.randrange(psl33.order)
+                conj = tuple(sorted(int(T[T[inv[g], x], g]) for x in sub.indices))
+                if conj != sub.indices:
+                    break
+            other = pg.Subgroup(psl33, conj)
+            assert np.array(conj, dtype=np.uint16).tobytes() not in psl33._normalizers
+            assert list(pg.normalizer(other).indices) == _normalizer_by_definition(psl33, conj)
+
+
+@pytest.mark.parametrize("group, classes", [("sym5", 7), ("psl33", 12)])
+def test_class_labels_are_least_conjugates(request, group, classes):
+    G = request.getfixturevalue(group)
+    T = G.mul_table()
+    inv = G.inverse_indices()
+    least = np.arange(G.order)
+    for g in range(G.order):
+        np.minimum(least, T[T[inv[g]], g], out=least)
+    labels = pg._class_labels(G)
+    assert (labels == least).all()
+    assert len(np.unique(labels)) == classes
+
+
 def _class_digest(subs: list[pg.Subgroup]) -> str:
     return hashlib.sha256(json.dumps([s.indices for s in subs]).encode()).hexdigest()
 
@@ -482,6 +552,31 @@ def test_stored_lattice_matches_pins_in_any_call_order(sequence):
         assert (len(subs), _class_digest(subs)) == pins[d], f"d={d}"
 
 
+def _snapshot(G: pg.GroupTable) -> dict:
+    return {d: [(least.tolist(), gens) for least, gens in recs]
+            for d, recs in G._subgroup_classes.items()}
+
+
+# (group, call sequence, sha256 of json.dumps of the stored lattice records,
+# least member and generators of every class, by ascending order)
+LATTICE_RECORD_HASHES = [
+    ("psl33", (18, 12), "e815c780a53dc0e6341e35a62201609b5cb8c201d13c04f1f033398b6f8451c3"),
+    ("pgl33", (36, 24), "9cf6415a26f6c919f63bfcbe056c8a9d92f07205135e4de35d8e544bdf41e1e2"),
+]
+
+
+@pytest.mark.parametrize("group, sequence, digest", LATTICE_RECORD_HASHES,
+                         ids=[g for g, _, _ in LATTICE_RECORD_HASHES])
+def test_stored_lattice_records_pinned(group, sequence, digest):
+    # the generators depend on which representative of each class is stored
+    # and extended, so this pins more than the least members do
+    G = pg.GroupTable.from_file(data_path(group + ".gens"))
+    for m in sequence:
+        pg.subgroups_of_order(G, m)
+    records = sorted(_snapshot(G).items())
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest
+
+
 def _counting(monkeypatch, fail_at: int | None = None) -> list[int]:
     """Count pg.sorted_rows calls (one per class gathered); raise on call fail_at."""
     calls = [0]
@@ -509,9 +604,8 @@ def test_stored_order_needs_no_gather(monkeypatch):
     assert calls[0] == 2 + 2
 
 
-def _snapshot(G: pg.GroupTable) -> dict:
-    return {d: [(least.tolist(), gens) for least, gens in recs]
-            for d, recs in G._subgroup_classes.items()}
+def _kept_normalizers(G: pg.GroupTable) -> dict:
+    return {key: N.tolist() for key, N in G._normalizers.items()}
 
 
 def test_interrupted_run_leaves_lattice_unchanged(monkeypatch):
@@ -519,12 +613,15 @@ def test_interrupted_run_leaves_lattice_unchanged(monkeypatch):
     G = pg.GroupTable.from_file(data_path("psl33.gens"))
     pg.subgroups_of_order(G, 6)
     before = _snapshot(G)
+    normalizers_before = _kept_normalizers(G)
+    assert len(normalizers_before) == sum(len(recs) for recs in before.values())
     # 18 after 6 gathers 3 classes of order 9 and 5 of order 18: fail mid-way
     calls = _counting(monkeypatch, fail_at=5)
     with pytest.raises(RuntimeError, match="interrupted"):
         pg.subgroups_of_order(G, 18)
     assert calls[0] == 5
     assert _snapshot(G) == before
+    assert _kept_normalizers(G) == normalizers_before
     monkeypatch.undo()
     for m in (18, 9):
         assert _class_digest(pg.subgroups_of_order(G, m)) == pins[m]
