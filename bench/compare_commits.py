@@ -51,8 +51,8 @@ TRACED_LAYERS = {
 # tests/test_permgroup.py::SUBGROUP_CLASS_HASHES, computed on one group per
 # generator file in the pinned order, so later orders reuse the stored lattice;
 # the lattice records of tests/test_permgroup.py::LATTICE_RECORD_HASHES, each
-# on a fresh group; then the fingerprints of the lambda=3 (psl33) and lambda=6 (pgl33) base-block
-# designs of tests/conftest.py, and the bijections that
+# on a fresh group; then the fingerprints of the lambda=3 (psl33) and lambda=6
+# (pgl33) base-block designs of tests/conftest.py, and the bijections that
 # tests/test_iso.py::test_bijections_pinned pins
 _DIGESTS = """
 import dataclasses, hashlib, json, random, sys
