@@ -14,10 +14,10 @@ not in BENCHMARK.json and not run in pairs).  In each checkout it records the
 two pinned screen digests, the sha256 of the `screen_report.json` that
 `designforge screen --family all` writes, the sha256 of the subgroup class
 representatives of the 22 pinned (group, m) pairs, the sha256 of the stored
-lattice records (least member and generators of every class) of
-tests/test_permgroup.py::LATTICE_RECORD_HASHES, and an iso digest: the
-fingerprints of the lambda=3 and lambda=6 reference designs and the
-bijections of tests/test_iso.py::test_bijections_pinned.  The JSON written
+lattice records (least member and generators of every class, not the kept
+normalizer) of tests/test_permgroup.py::LATTICE_RECORD_HASHES, and an iso
+digest: the fingerprints of the lambda=3 and lambda=6 reference designs and
+the bijections of tests/test_iso.py::test_bijections_pinned.  The JSON written
 to --out holds every run, the median and quartiles of each end-to-end
 metric, and in how many pairs the change was lower.
 """
@@ -79,7 +79,7 @@ for name, orders in (("psl33", (18, 12)), ("pgl33", (36, 24))):
     G = pg.GroupTable.from_file(data_path(name + ".gens"))
     for m in orders:
         pg.subgroups_of_order(G, m)
-    records.append(sorted((d, [(least.tolist(), gens) for least, gens in recs])
+    records.append(sorted((d, [(least.tolist(), gens) for least, gens, *_ in recs])
                           for d, recs in G._subgroup_classes.items()))
     del G
 iso_doc = [dataclasses.astuple(iso.fingerprint(designs[n])) for n in ("psl33", "pgl33")]

@@ -182,10 +182,10 @@ class _Precomp:
 
     @cached_property
     def block_histograms(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-        """The block-intersection and block-profile histograms, from `meet` alone."""
+        """The block-intersection and block-profile histograms, from `meet` alone:
+        meet is symmetric, so `meet_index` counts row j's meets at j (k+1)."""
         D = self.design
-        offs = np.arange(D.b, dtype=np.int64) * (D.k + 1)
-        flat = np.bincount((self.meet + offs[:, None]).ravel(), minlength=D.b * (D.k + 1))
+        flat = np.bincount(self.meet_index.ravel(), minlength=D.b * (D.k + 1))
         profile_rows = flat.reshape(D.b, D.k + 1)
         profile_rows[:, D.k] -= 1  # drop the self-intersection
         profile_hashes = _row_multiset_hash(

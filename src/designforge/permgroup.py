@@ -25,6 +25,10 @@ _MUL_TABLE_MAX_ORDER = 16000
 # bytes of one block of multiplication-table rows gathered at a time
 _GATHER_BYTES = 1 << 20
 
+# a stored subgroup class: least member H, generators of H, N_G(H) as sorted
+# uint16 indices
+_ClassRecord = tuple[np.ndarray, tuple[int, ...], np.ndarray]
+
 
 class CapExceededError(RuntimeError):
     """Group closure grew past the configured enumeration cap."""
@@ -184,6 +188,14 @@ def _dtype_for(degree: int) -> np.dtype:
     return np.dtype(np.uint8) if degree <= 255 else np.dtype(np.uint16)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void key per image row, ordered as the rows are lexicographically:
+    uint16 rows give their big-endian bytes, as little-endian bytes of images
+    above 255 do not sort as the images do; uint8 keys are a view of the rows."""
+    rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize))).ravel()
+
+
 class GroupTable:
     """A finite permutation group materialized as its full sorted element list.
 
@@ -197,19 +209,16 @@ class GroupTable:
         self._imgs = imgs
         self._imgs.setflags(write=False)
         self.order = int(imgs.shape[0])
-        self._index = {imgs[i].tobytes(): i for i in range(self.order)}
+        self._keys = _row_keys(imgs)
         self._mul_table: np.ndarray | None = None
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._powers: np.ndarray | None = None
         self._pair_orbits: tuple[np.ndarray, np.ndarray] | None = None
-        # the subgroup lattice found so far: order d -> (least member,
-        # generators) of every conjugacy class of order d, sorted by least
-        # member; an order is a key only once all its classes are known
-        self._subgroup_classes: dict[int, list[tuple[np.ndarray, tuple[int, ...]]]] = {}
-        # N_G(H) as sorted uint16 indices for every stored class, keyed by the
-        # uint16 bytes of its least member H; written with the lattice
-        self._normalizers: dict[bytes, np.ndarray] = {}
+        # the subgroup lattice found so far: order d -> the record of every
+        # conjugacy class of order d, sorted by least member; an order is a
+        # key only once all its classes are known
+        self._subgroup_classes: dict[int, list[_ClassRecord]] = {}
 
     # -- construction
 
@@ -226,14 +235,8 @@ class GroupTable:
         ident = np.arange(degree, dtype=dt)
         seen: dict[bytes, None] = {ident.tobytes(): None}
         rows = [ident]
-        frontier = []
-        for row in gen_rows:
-            key = row.tobytes()
-            if key not in seen:
-                seen[key] = None
-                rows.append(row)
-                frontier.append(row)
-        frontier_arr = np.array(frontier, dtype=dt) if frontier else np.empty((0, degree), dt)
+        # the first round's products are the generators themselves
+        frontier_arr = ident[None, :]
         while frontier_arr.shape[0]:
             new_rows = []
             for g in gen_rows:
@@ -252,8 +255,7 @@ class GroupTable:
                 np.array(new_rows, dtype=dt) if new_rows else np.empty((0, degree), dt)
             )
         imgs = np.array(rows, dtype=dt)
-        order = np.lexsort(imgs.T[::-1])
-        return cls(degree, generators, imgs[order])
+        return cls(degree, generators, imgs[np.argsort(_row_keys(imgs))])
 
     @classmethod
     def from_file(cls, path: str | Path, cap: int = DEFAULT_CAP) -> GroupTable:
@@ -266,11 +268,12 @@ class GroupTable:
         return Permutation(tuple(int(x) for x in self._imgs[i]))
 
     def index_of(self, p: Permutation) -> int:
-        key = np.asarray(p.images, dtype=self._imgs.dtype).tobytes()
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError("permutation is not an element of this group") from None
+        if p.degree == self.degree:
+            row = np.asarray(p.images, dtype=self._imgs.dtype)
+            i = int(np.searchsorted(self._keys, _row_keys(row)[0]))
+            if i < self.order and np.array_equal(self._imgs[i], row):
+                return i
+        raise ValueError("permutation is not an element of this group")
 
     @property
     def identity_index(self) -> int:
@@ -327,18 +330,13 @@ class GroupTable:
                 )
             n = self.order
             # every index fits in uint16, as the order is capped above
-            # left-multiplication maps for each generator: Lg[i] = index of g*e_i
-            lmaps = []
-            for g in self.generators:
-                g_img = np.asarray(g.images, dtype=self._imgs.dtype)
-                prod_rows = self._imgs[:, g_img]  # (g*e_i)(x) = e_i(g(x))
-                lmaps.append(
-                    np.fromiter(
-                        (self._index[prod_rows[i].tobytes()] for i in range(n)),
-                        dtype=np.uint16,
-                        count=n,
-                    )
-                )
+            # left-multiplication maps for each generator: Lg[i] = index of
+            # g*e_i, whose row (g*e_i)(x) = e_i(g(x)) is in G
+            lmaps = [
+                np.searchsorted(self._keys, _row_keys(self._imgs[:, list(g.images)]))
+                .astype(np.uint16)
+                for g in self.generators
+            ]
             T = np.zeros((n, n), dtype=np.uint16)
             T[0] = np.arange(n, dtype=np.uint16)
             built = np.zeros(n, dtype=bool)
@@ -504,12 +502,12 @@ def _normalizing(
 
 
 def normalizer(H: Subgroup) -> Subgroup:
-    """N_G(H) = {y : y^-1 H y = H}: kept with the lattice for a stored class
+    """N_G(H) = {y : y^-1 H y = H}: kept in the record of a stored class
     representative, else by `_normalizing` with H's elements as generators."""
     G = H.parent
-    kept = G._normalizers.get(np.array(H.indices, dtype=np.uint16).tobytes())
-    if kept is not None:
-        return Subgroup(G, tuple(kept.tolist()))
+    for least, _, N in G._subgroup_classes.get(H.order, ()):
+        if np.array_equal(least, H.indices):
+            return Subgroup(G, tuple(N.tolist()))
     in_H = np.zeros(G.order, dtype=bool)
     in_H[list(H.indices)] = True
     everything = np.arange(G.order, dtype=np.int64)
@@ -617,8 +615,8 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
     other call seeds its queue with every stored class whose order divides
     m and skips a subgroup of a stored order without a gather, since its
     class is already queued.  The run works on local additions and stores
-    them, classes and normalizers, only at its end, so an interrupted run
-    leaves G as it was.
+    them, each class with its normalizer, only at its end, so an interrupted
+    run leaves G as it was.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -629,18 +627,13 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
         return [trivial_subgroup(G)]
     known = G._subgroup_classes
     if m not in known:
-        classes, normalizers = _new_subgroup_classes(G, m)
-        known.update(classes)
-        G._normalizers.update(normalizers)
-    return [Subgroup(G, tuple(least.tolist())) for least, _ in known[m]]
+        known.update(_new_subgroup_classes(G, m))
+    return [Subgroup(G, tuple(least.tolist())) for least, _, _ in known[m]]
 
 
-def _new_subgroup_classes(
-    G: GroupTable, m: int
-) -> tuple[dict[int, list[tuple[np.ndarray, tuple[int, ...]]]], dict[bytes, np.ndarray]]:
-    """The classes of every order d | m (d > 1) not yet stored on G, found by
-    the lattice closure that `subgroups_of_order` describes, and the
-    normalizer of each new least member, keyed as on `G._normalizers`."""
+def _new_subgroup_classes(G: GroupTable, m: int) -> dict[int, list[_ClassRecord]]:
+    """The class records of every order d | m (d > 1) not yet stored on G,
+    found by the lattice closure that `subgroups_of_order` describes."""
     known = G._subgroup_classes
     T = G.mul_table()
     inv = G.inverse_indices()
@@ -666,7 +659,6 @@ def _new_subgroup_classes(
 
     everything = np.arange(G.order, dtype=np.int64)
     found = {d: [] for d in range(2, m + 1) if m % d == 0 and d not in known}
-    normalizers: dict[bytes, np.ndarray] = {}
     # uint16 bytes of each conjugate met in this run (T is uint16)
     conjugates: set[bytes] = set()
     queue = [rec for d, recs in known.items() if m % d == 0 for rec in recs]
@@ -691,9 +683,9 @@ def _new_subgroup_classes(
         in_least = np.zeros(G.order, dtype=bool)
         in_least[least] = True
         g = int(reps[np.flatnonzero(in_least[conj].all(axis=1))[0], 0])
-        rec = (least, tuple(int(T[T[inv[g], x], g]) for x in gens))
+        gens_least = tuple(int(T[T[inv[g], x], g]) for x in gens)
+        rec = (least, gens_least, np.sort(T[T[inv[g], N], g]))
         found[len(least)].append(rec)
-        normalizers[members[0].tobytes()] = np.sort(T[T[inv[g], N], g])
         if len(least) < m:
             queue.append(rec)
 
@@ -702,7 +694,7 @@ def _new_subgroup_classes(
 
     head = 0
     while head < len(queue):
-        H, gens = queue[head]
+        H, gens, _ = queue[head]
         head += 1
         in_H = np.zeros(G.order, dtype=bool)
         in_H[H] = True
@@ -718,7 +710,12 @@ def _new_subgroup_classes(
         _, first = np.unique(cosets.T, axis=0, return_index=True)
         for y in sorted(int(ys[c]) for c in first):
             if solvable_route:
-                K = np.unique(T[np.ix_(H, powers[: orders[y], y])])
+                cyc = powers[: orders[y], y]
+                # y normalizes H, so |<H, y>| = |H| o(y) / |H ∩ <y>|
+                d = len(H) * int(orders[y]) // int(in_H[cyc].sum())
+                if m % d or d in known:
+                    continue
+                K = np.unique(T[np.ix_(H, cyc)])
             else:
                 K = _closure_capped(T, H, gens, y, cap=m)
             if K is not None and m % len(K) == 0:
@@ -726,7 +723,7 @@ def _new_subgroup_classes(
 
     for recs in found.values():
         recs.sort(key=lambda rec: rec[0].tolist())
-    return found, normalizers
+    return found
 
 
 def are_conjugate(G: GroupTable, H1: Subgroup, H2: Subgroup) -> Permutation | None:

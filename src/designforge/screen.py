@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 from .numtheory import (
     cyclotomic_values,
     divisors,
-    factorization_string,
     factorize,
     factorize_over,
     format_factorization,
@@ -518,14 +517,15 @@ PUBLISHED_V: dict[str, dict[int, str]] = {
 }
 
 
-def _published_note(table_key: str, q_key: int, value: Fraction) -> list[str]:
+def _published_note(
+    table_key: str, q_key: int, value: Fraction, v_factorization: str
+) -> list[str]:
     table = PUBLISHED_V[table_key]
     if q_key not in table:
         return [f"not in the published list for {table_key}"]
     if parse_factorization(table[q_key]) != value:
         return [
-            f"published value {table[q_key]} disagrees with exact computation "
-            f"{factorization_string(value)}"
+            f"published value {table[q_key]} disagrees with exact computation {v_factorization}"
         ]
     return []
 
@@ -558,7 +558,7 @@ def build_report(
             v_factorization = v_fraction
             all_notes.append("stabilizer order does not divide the socle order; case vacuous")
         if published_key:
-            all_notes.extend(_published_note(*published_key, v_value))
+            all_notes.extend(_published_note(*published_key, v_value, v_factorization))
     else:
         all_notes.append("no exact stabilizer order; screened by bounds only")
 

@@ -133,6 +133,34 @@ def test_index_arithmetic(sym4):
         assert (sym4.element(i) * sym4.element(sym4.inv(i))).is_identity()
 
 
+def test_element_lookup_above_degree_255():
+    # the dihedral group of order 600 on 300 points has uint16 rows with
+    # images above 255, whose little-endian bytes do not sort as the images do
+    n = 300
+    rotation = pg.Permutation(tuple((i + 1) % n for i in range(n)))
+    reflection = pg.Permutation(tuple(-i % n for i in range(n)))
+    G = pg.GroupTable.generate([rotation, reflection])
+    rows = G.images_array()
+    assert G.order == 600 and rows.dtype == np.uint16
+    assert (np.lexsort(rows.T[::-1]) == np.arange(G.order)).all()
+    assert all(G.index_of(G.element(i)) == i for i in range(G.order))
+    T = G.mul_table()
+    rng = random.Random(600)
+    for _ in range(300):
+        a, b = rng.randrange(G.order), rng.randrange(G.order)
+        assert G.element(int(T[a, b])) == G.element(a) * G.element(b)
+
+
+def test_index_of_rejects_non_members(psl33):
+    # the reversal is the lexicographically largest permutation, so it sorts
+    # past the last row
+    reversal = pg.Permutation(tuple(range(143, -1, -1)))
+    assert tuple(psl33.images_array()[-1].tolist()) < reversal.images
+    for p in (pg.parse_cycles("(1,2)", 144), reversal, pg.identity(145)):
+        with pytest.raises(ValueError, match="not an element"):
+            psl33.index_of(p)
+
+
 @pytest.mark.parametrize("group", ["sym4", "psl33", "pgl33"])
 def test_inverse_indices_invert_every_element(request, group):
     # row inv[i] undoes row i, checked on the image rows: the inverses
@@ -399,7 +427,7 @@ def test_kept_normalizers_match_definition(psl33):
     pg.subgroups_of_order(psl33, 18)
     for m in (6, 9, 18):
         for sub in pg.subgroups_of_order(psl33, m):
-            assert np.array(sub.indices, dtype=np.uint16).tobytes() in psl33._normalizers
+            assert sub.indices in _kept_normalizers(psl33)
             expected = _normalizer_by_definition(psl33, sub.indices)
             assert list(pg.normalizer(sub).indices) == expected
             # a conjugate other than the least member is not kept: the fallback
@@ -409,7 +437,7 @@ def test_kept_normalizers_match_definition(psl33):
                 if conj != sub.indices:
                     break
             other = pg.Subgroup(psl33, conj)
-            assert np.array(conj, dtype=np.uint16).tobytes() not in psl33._normalizers
+            assert conj not in _kept_normalizers(psl33)
             assert list(pg.normalizer(other).indices) == _normalizer_by_definition(psl33, conj)
 
 
@@ -553,8 +581,13 @@ def test_stored_lattice_matches_pins_in_any_call_order(sequence):
 
 
 def _snapshot(G: pg.GroupTable) -> dict:
-    return {d: [(least.tolist(), gens) for least, gens in recs]
+    return {d: [(least.tolist(), gens) for least, gens, _ in recs]
             for d, recs in G._subgroup_classes.items()}
+
+
+def _kept_normalizers(G: pg.GroupTable) -> dict:
+    return {tuple(least.tolist()): N.tolist()
+            for recs in G._subgroup_classes.values() for least, _, N in recs}
 
 
 # (group, call sequence, sha256 of json.dumps of the stored lattice records,
@@ -602,10 +635,6 @@ def test_stored_order_needs_no_gather(monkeypatch):
     # order 12 is new; only its classes of orders 4 and 12 are gathered
     assert len(pg.subgroups_of_order(G, 12)) == 2
     assert calls[0] == 2 + 2
-
-
-def _kept_normalizers(G: pg.GroupTable) -> dict:
-    return {key: N.tolist() for key, N in G._normalizers.items()}
 
 
 def test_interrupted_run_leaves_lattice_unchanged(monkeypatch):
