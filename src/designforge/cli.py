@@ -46,7 +46,7 @@ def _cap_from_env() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"{CAP_ENV} must be an integer, got {raw!r}")
+        raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def _dump_json(path: Path, doc: object) -> None:
@@ -351,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonDivisibleError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ScreenError, CycleFormatError, ValueError, FileNotFoundError) as exc:
+    except (ScreenError, CycleFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

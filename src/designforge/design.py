@@ -213,5 +213,16 @@ def save_design(path: str | Path, D: Design, meta: Mapping[str, object] | None =
 
 def load_design(path: str | Path) -> tuple[Design, dict]:
     doc = json.loads(Path(path).read_text())
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("v"), int)
+        and isinstance(doc.get("blocks"), list)
+        and all(isinstance(blk, list) and all(isinstance(p, int) for p in blk)
+                for blk in doc["blocks"])
+    ):
+        raise ValueError(
+            f"{path}: a design file is a JSON object with an integer 'v' and "
+            "'blocks', a list of lists of integers"
+        )
     design = Design(doc["v"], [[p - 1 for p in blk] for blk in doc["blocks"]])
     return design, doc.get("meta", {})

@@ -347,10 +347,6 @@ def _are_isomorphic(pre1: _Precomp, pre2: _Precomp) -> IsoCertificate:
     return IsoCertificate(True, bijection=found)
 
 
-def verify_bijection(D1: Design, D2: Design, pi: tuple[int, ...]) -> bool:
-    return D1.relabel(pi) == D2
-
-
 def iso_classes(designs: list[Design]) -> list[list[int]]:
     """Partition input indices into isomorphism classes.
 

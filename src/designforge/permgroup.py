@@ -275,22 +275,11 @@ class GroupTable:
                 return i
         raise ValueError("permutation is not an element of this group")
 
-    @property
-    def identity_index(self) -> int:
-        return 0
-
     def images_array(self) -> np.ndarray:
         """(order, degree) read-only array of image rows, lexicographically sorted."""
         return self._imgs
 
     # -- index arithmetic
-
-    def mul(self, i: int, j: int) -> int:
-        """Index of element_i * element_j (left-to-right composition)."""
-        return int(self.mul_table()[i, j])
-
-    def inv(self, i: int) -> int:
-        return int(self.inverse_indices()[i])
 
     def inverse_indices(self) -> np.ndarray:
         if self._inv is None:
@@ -360,11 +349,6 @@ class GroupTable:
             self._mul_table = T
         return self._mul_table
 
-    # -- misc
-
-    def is_transitive(self) -> bool:
-        return len(orbits(self)) == 1
-
     def __repr__(self) -> str:
         return f"GroupTable(degree={self.degree}, order={self.order})"
 
@@ -383,22 +367,14 @@ class Subgroup:
     def __post_init__(self) -> None:
         if tuple(sorted(set(self.indices))) != self.indices:
             raise ValueError("indices must be sorted and duplicate-free")
-        if not self.indices or self.indices[0] != self.parent.identity_index:
+        if not self.indices or self.indices[0] != 0:
             raise ValueError("a subgroup must contain the identity")
         if self.parent.order % len(self.indices):
             raise ValueError("order does not divide the parent order")
 
-    @classmethod
-    def from_indices(cls, parent: GroupTable, indices: Iterable[int]) -> Subgroup:
-        return cls(parent, tuple(sorted({int(i) for i in indices})))
-
     @property
     def order(self) -> int:
         return len(self.indices)
-
-    def is_closed(self) -> bool:
-        ids = set(self.indices)
-        return all(self.parent.mul(a, b) in ids for a in self.indices for b in self.indices)
 
     def images_array(self) -> np.ndarray:
         """(order, degree) array of the image rows of the elements, in index order."""
@@ -409,7 +385,7 @@ class Subgroup:
 
 
 def trivial_subgroup(G: GroupTable) -> Subgroup:
-    return Subgroup(G, (G.identity_index,))
+    return Subgroup(G, (0,))
 
 
 def sorted_rows(a: np.ndarray) -> np.ndarray:
@@ -464,13 +440,6 @@ def pair_orbit_table(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     return G._pair_orbits
 
 
-def point_stabilizer(G: GroupTable, alpha: int) -> Subgroup:
-    if not 0 <= alpha < G.degree:
-        raise ValueError("point out of range")
-    fixed = np.flatnonzero(G.images_array()[:, alpha] == alpha)
-    return Subgroup.from_indices(G, fixed)
-
-
 def set_stabilizer(G: GroupTable, points: Iterable[int]) -> Subgroup:
     """Setwise stabilizer {g : g(S) = S}, by exhaustive filter."""
     S = sorted({int(p) for p in points})
@@ -481,7 +450,7 @@ def set_stabilizer(G: GroupTable, points: Iterable[int]) -> Subgroup:
     mark = np.zeros(G.degree, dtype=bool)
     mark[S] = True
     inside = mark[G.images_array()[:, S]].all(axis=1)
-    return Subgroup.from_indices(G, np.flatnonzero(inside))
+    return Subgroup(G, tuple(np.flatnonzero(inside).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -725,21 +694,3 @@ def _new_subgroup_classes(G: GroupTable, m: int) -> dict[int, list[_ClassRecord]
         recs.sort(key=lambda rec: rec[0].tolist())
     return found
 
-
-def are_conjugate(G: GroupTable, H1: Subgroup, H2: Subgroup) -> Permutation | None:
-    """A g with g^-1 * H1 * g = H2, or None.  Full sweep over the group."""
-    if H1.parent is not G or H2.parent is not G:
-        raise ValueError("subgroups must belong to the given group")
-    if H1.order != H2.order:
-        return None
-    target = np.array(H2.indices, dtype=np.int64)
-    arr = np.array(H1.indices, dtype=np.int64)
-    T = G.mul_table()
-    inv = G.inverse_indices()
-    A = T[np.ix_(inv, arr)]  # A[g, j] = e_g^-1 * h_j
-    B = T[A, np.arange(G.order, dtype=np.int64)[:, None]]
-    B.sort(axis=1)
-    hits = np.flatnonzero((B == target[None, :]).all(axis=1))
-    if hits.size == 0:
-        return None
-    return G.element(int(hits[0]))

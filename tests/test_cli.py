@@ -174,3 +174,23 @@ def test_verify_report_written(tmp_path, capsys):
     assert report["lambda_2"] == 6
     assert report["flag_transitive"] is True
     assert report["block_stabilizer_order"] == 12
+
+
+@pytest.mark.parametrize("doc", [{"k": 3}, {"v": "7", "blocks": [[1, 2, 3]]}, [[1, 2, 3]]])
+def test_iso_malformed_design_file(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["iso", "--in", str(path)]) == cli.EXIT_PRECONDITION
+    assert str(path) in capsys.readouterr().err
+
+
+def test_search_gens_directory(tmp_path, capsys):
+    rc = cli.main(["search", "--gens", str(tmp_path), "--k", "2", "--lambda", "1"])
+    assert rc == cli.EXIT_PRECONDITION
+
+
+def test_cap_env_not_an_integer(monkeypatch, capsys, s4_gens):
+    monkeypatch.setenv(cli.CAP_ENV, "abc")
+    rc = cli.main(["search", "--gens", str(s4_gens), "--k", "2", "--lambda", "1"])
+    assert rc == cli.EXIT_PRECONDITION
+    assert "must be an integer" in capsys.readouterr().err

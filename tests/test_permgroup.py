@@ -107,12 +107,12 @@ def test_generate_order_independent(sym4):
 
 def test_psl33_order(psl33):
     assert psl33.order == 5616
-    assert psl33.is_transitive()
+    assert len(pg.orbits(psl33)) == 1
 
 
 def test_pgl33_order(pgl33):
     assert pgl33.order == 11232
-    assert pgl33.is_transitive()
+    assert len(pg.orbits(pgl33)) == 1
 
 
 def test_shipped_labellings_differ(psl33, pgl33):
@@ -127,10 +127,11 @@ def test_shipped_labellings_differ(psl33, pgl33):
 
 def test_index_arithmetic(sym4):
     T = sym4.mul_table()
+    inv = sym4.inverse_indices()
     for i in range(sym4.order):
         for j in range(sym4.order):
             assert sym4.element(int(T[i, j])) == sym4.element(i) * sym4.element(j)
-        assert (sym4.element(i) * sym4.element(sym4.inv(i))).is_identity()
+        assert (sym4.element(i) * sym4.element(int(inv[i]))).is_identity()
 
 
 def test_element_lookup_above_degree_255():
@@ -251,10 +252,10 @@ def test_orbit_lengths_divide_order(psl33):
 
 
 def test_point_stabilizer_orders(psl33, pgl33):
-    assert pg.point_stabilizer(psl33, 0).order == 39
-    assert pg.point_stabilizer(pgl33, 5).order == 78
+    assert pg.set_stabilizer(psl33, [0]).order == 39
+    assert pg.set_stabilizer(pgl33, [5]).order == 78
     triv = pg.GroupTable.generate([pg.identity(6)])
-    assert pg.point_stabilizer(triv, 2).order == triv.order
+    assert pg.set_stabilizer(triv, [2]).order == triv.order
 
 
 def test_orbit_stabilizer_random_points(psl33, pgl33):
@@ -262,7 +263,7 @@ def test_orbit_stabilizer_random_points(psl33, pgl33):
     for G in (psl33, pgl33):
         for _ in range(10):
             alpha = rng.randrange(G.degree)
-            stab = pg.point_stabilizer(G, alpha)
+            stab = pg.set_stabilizer(G, [alpha])
             orbit = next(o for o in pg.orbits(G) if alpha in o)
             assert stab.order * len(orbit) == G.order
 
@@ -301,6 +302,18 @@ def test_set_stabilizer_orbit_relation(psl33):
 # subgroup enumeration
 
 
+def _conjugates(G: pg.GroupTable, H) -> np.ndarray:
+    """Row g holds the sorted indices of g^-1 H g, for every element g of G."""
+    T = G.mul_table()
+    g = np.arange(G.order, dtype=np.int64)[:, None]
+    conj = T[T[G.inverse_indices()[g], np.asarray(H, dtype=np.int64)], g]
+    return np.sort(conj, axis=1)
+
+
+def _least_conjugate(G: pg.GroupTable, H) -> tuple[int, ...]:
+    return min(map(tuple, _conjugates(G, H).tolist()))
+
+
 def _brute_force_class_counts(G: pg.GroupTable) -> Counter:
     """Exhaustive subset-closure oracle: every subgroup of S4 is 2-generated."""
     seen: set[tuple[int, ...]] = set()
@@ -314,27 +327,19 @@ def _brute_force_class_counts(G: pg.GroupTable) -> Counter:
                     break
                 elems |= new
             seen.add(tuple(sorted(elems)))
-    inv = G.inverse_indices()
-    classes: list[set[tuple[int, ...]]] = []
-    for sub in sorted(seen):
-        if any(sub in cls for cls in classes):
-            continue
-        cls = set()
-        for g in range(G.order):
-            conj = tuple(sorted(int(T[int(T[inv[g], x]), g]) for x in sub))
-            cls.add(conj)
-        classes.append(cls)
-    return Counter(len(next(iter(cls))) for cls in classes)
+    return Counter(len(H) for H in {_least_conjugate(G, sub) for sub in seen})
 
 
 def test_subgroups_of_order_s4_against_oracle(sym4):
     oracle = _brute_force_class_counts(sym4)
+    T = sym4.mul_table()
     for m in (2, 3, 4, 6, 8, 12):
         found = pg.subgroups_of_order(sym4, m)
         assert len(found) == oracle[m], f"m={m}"
         for sub in found:
+            idx = np.array(sub.indices)
             assert sub.order == m
-            assert sub.is_closed()
+            assert np.isin(T[np.ix_(idx, idx)], idx).all()
 
 
 def test_subgroups_of_order_trivial(sym4):
@@ -349,27 +354,13 @@ def test_subgroups_of_order_nondivisor_warns(sym4):
 
 def test_psl33_order3_classes_against_cyclic_oracle(psl33):
     found = pg.subgroups_of_order(psl33, 3)
-    # oracle: partition cyclic order-3 subgroups by conjugacy directly
+    # oracle: the least conjugate of every cyclic order-3 subgroup
     orders = psl33.element_orders()
     T = psl33.mul_table()
-    inv = psl33.inverse_indices()
-    cyclics = set()
-    for y in range(psl33.order):
-        if orders[y] == 3:
-            z = int(T[y, y])
-            cyclics.add(tuple(sorted((0, y, z))))
-    classes = []
-    assigned = set()
-    for sub in sorted(cyclics):
-        if sub in assigned:
-            continue
-        cls = {
-            tuple(sorted(int(T[int(T[inv[g], x]), g]) for x in sub))
-            for g in range(psl33.order)
-        }
-        assigned |= cls
-        classes.append(cls)
-    assert len(found) == len(classes)
+    cyclics = {
+        tuple(sorted((0, y, int(T[y, y])))) for y in range(psl33.order) if orders[y] == 3
+    }
+    assert len(found) == len({_least_conjugate(psl33, H) for H in cyclics})
 
 
 def _small_generating_set(T, H: tuple[int, ...]) -> tuple[int, ...]:
@@ -390,12 +381,7 @@ def _small_generating_set(T, H: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _normalizer_by_definition(G: pg.GroupTable, H: tuple[int, ...]) -> list[int]:
-    T = G.mul_table()
-    inv = G.inverse_indices()
-    arr = np.array(H, dtype=np.int64)
-    g = np.arange(G.order, dtype=np.int64)[:, None]
-    conj = np.sort(T[T[inv[g], arr[None, :]], g], axis=1)  # row g: sorted g^-1 H g
-    return [int(x) for x in np.flatnonzero((conj == arr[None, :]).all(axis=1))]
+    return np.flatnonzero((_conjugates(G, H) == H).all(axis=1)).tolist()
 
 
 @pytest.mark.parametrize(
@@ -421,8 +407,6 @@ def test_normalizing_matches_definition(request, group, orders):
 
 
 def test_kept_normalizers_match_definition(psl33):
-    T = psl33.mul_table()
-    inv = psl33.inverse_indices()
     rng = random.Random(18)
     pg.subgroups_of_order(psl33, 18)
     for m in (6, 9, 18):
@@ -431,11 +415,8 @@ def test_kept_normalizers_match_definition(psl33):
             expected = _normalizer_by_definition(psl33, sub.indices)
             assert list(pg.normalizer(sub).indices) == expected
             # a conjugate other than the least member is not kept: the fallback
-            while True:
-                g = rng.randrange(psl33.order)
-                conj = tuple(sorted(int(T[T[inv[g], x], g]) for x in sub.indices))
-                if conj != sub.indices:
-                    break
+            conj = rng.choice([H for H in map(tuple, _conjugates(psl33, sub.indices).tolist())
+                               if H != sub.indices])
             other = pg.Subgroup(psl33, conj)
             assert conj not in _kept_normalizers(psl33)
             assert list(pg.normalizer(other).indices) == _normalizer_by_definition(psl33, conj)
@@ -452,6 +433,17 @@ def test_class_labels_are_least_conjugates(request, group, classes):
     labels = pg._class_labels(G)
     assert (labels == least).all()
     assert len(np.unique(labels)) == classes
+
+
+@pytest.mark.parametrize("group, m", [("psl33", 6), ("psl33", 18), ("pgl33", 6)])
+def test_class_representatives_are_least_conjugates(request, group, m):
+    # a class has one least member, so distinct least members are pairwise
+    # non-conjugate
+    G = request.getfixturevalue(group)
+    reps = [sub.indices for sub in pg.subgroups_of_order(G, m)]
+    assert reps and len(set(reps)) == len(reps)
+    for H in reps:
+        assert _least_conjugate(G, H) == H
 
 
 def _class_digest(subs: list[pg.Subgroup]) -> str:
@@ -500,14 +492,6 @@ def test_subgroup_class_representatives_pinned(request, group, m, count, digest)
 def sym5() -> pg.GroupTable:
     gens = [pg.parse_cycles("(1,2)", 5), pg.parse_cycles("(1,2,3,4,5)", 5)]
     return pg.GroupTable.generate(gens)
-
-
-def _least_conjugate(G: pg.GroupTable, H: tuple[int, ...]) -> tuple[int, ...]:
-    T = G.mul_table()
-    inv = G.inverse_indices()
-    g = np.arange(G.order, dtype=np.int64)[:, None]
-    conj = np.sort(T[T[inv[g], np.array(H, dtype=np.int64)[None, :]], g], axis=1)
-    return min(tuple(int(x) for x in row) for row in conj)
 
 
 def _two_generated_class_reps(G: pg.GroupTable) -> set[tuple[int, ...]]:
@@ -669,43 +653,3 @@ def test_lagrange_on_enumerated_subgroups(psl33):
     for m in (2, 3, 4, 6, 9, 12):
         for sub in pg.subgroups_of_order(psl33, m):
             assert psl33.order % sub.order == 0
-
-
-# ---------------------------------------------------------------------------
-# conjugacy
-
-
-def test_are_conjugate_self(sym4):
-    subs = pg.subgroups_of_order(sym4, 4)
-    for sub in subs:
-        witness = pg.are_conjugate(sym4, sub, sub)
-        assert witness is not None
-
-
-def test_are_conjugate_random_conjugates(psl33):
-    rng = random.Random(11)
-    subs = pg.subgroups_of_order(psl33, 6)
-    T = psl33.mul_table()
-    inv = psl33.inverse_indices()
-    for sub in subs[:2]:
-        g = rng.randrange(psl33.order)
-        conj = tuple(sorted(int(T[int(T[inv[g], x]), g]) for x in sub.indices))
-        other = pg.Subgroup(psl33, conj)
-        witness = pg.are_conjugate(psl33, sub, other)
-        assert witness is not None
-        w = psl33.index_of(witness)
-        image = tuple(sorted(int(T[int(T[inv[w], x]), w]) for x in sub.indices))
-        assert image == conj
-
-
-def test_are_conjugate_distinct_signatures(psl33):
-    subs = pg.subgroups_of_order(psl33, 18)
-    by_sig = {}
-    for sub in subs:
-        sig = tuple(sorted(len(o) for o in pg.orbits(sub)))
-        by_sig.setdefault(sig, []).append(sub)
-    sigs = sorted(by_sig)
-    assert len(sigs) == 2
-    a = by_sig[sigs[0]][0]
-    b = by_sig[sigs[1]][0]
-    assert pg.are_conjugate(psl33, a, b) is None
