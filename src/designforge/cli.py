@@ -18,12 +18,12 @@ from pathlib import Path
 
 from . import __version__
 from .design import (
+    design_to_dict,
     from_base_block,
     is_block_transitive,
     is_flag_transitive,
     lambda_of,
     load_design,
-    save_design,
 )
 from .iso import iso_classes
 from .numtheory import FactorizationError
@@ -54,27 +54,29 @@ def _dump_json(path: Path, doc: object) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(
+def _write_outputs(
     out_dir: Path,
     subcommand: str,
     inputs: list[Path],
     params: dict,
-    outputs: list[Path],
+    docs: dict[str, object],
     started: float,
-) -> None:
+) -> list[Path]:
+    """Write each {file name: document} entry, then the manifest that lists
+    them in that order; return the written paths, manifest excluded."""
+    paths = [out_dir / name for name in docs]
+    for path, doc in zip(paths, docs.values()):
+        _dump_json(path, doc)
     manifest = {
         "subcommand": subcommand,
         "tool_version": __version__,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
         "parameters": params,
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(p) for p in paths],
         "wall_time_s": round(time.time() - started, 3),
     }
     _dump_json(out_dir / "manifest.json", manifest)
+    return paths
 
 
 def _parse_points(text: str) -> list[int]:
@@ -105,23 +107,16 @@ def _cmd_screen(args: argparse.Namespace) -> int:
             f"  {r.case.label():30} v = {r.v} = {r.v_factorization}  k = {r.candidate_k}"
         )
     if args.out:
-        out_dir = Path(args.out)
         doc = {
             "survivors": [r.to_dict() for r in surv],
             "reports": [r.to_dict() for r in reports],
             "tool_version": __version__,
         }
-        report_path = out_dir / "screen_report.json"
-        _dump_json(report_path, doc)
-        _write_manifest(
-            out_dir,
-            "screen",
-            [],
-            {"family": args.family, "n": args.n, "q": args.q},
-            [report_path],
-            started,
+        params = {"family": args.family, "n": args.n, "q": args.q}
+        [path] = _write_outputs(
+            Path(args.out), "screen", [], params, {"screen_report.json": doc}, started
         )
-        print(f"wrote {report_path}")
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -135,32 +130,25 @@ def _family_selector(name: str) -> list[str]:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     started = time.time()
-    cap = _cap_from_env()
     gens_path = Path(args.gens)
-    group = GroupTable.from_file(args.gens, cap=cap)
+    group = GroupTable.from_file(gens_path, cap=_cap_from_env())
     k = args.k
     if args.all:
         results = full_sweep(group, k, include_lambda_1=args.include_lambda_1)
+    elif args.lam is None:
+        print("error: provide --lambda or --all", file=sys.stderr)
+        return EXIT_PRECONDITION
     else:
-        if args.lam is None:
-            print("error: provide --lambda or --all", file=sys.stderr)
-            return EXIT_PRECONDITION
-        if args.lam < 1:
-            print(f"error: lambda = {args.lam} must be positive", file=sys.stderr)
-            return EXIT_PRECONDITION
+        job = SearchJob(group, k, args.lam)
         if k % args.lam:
             print(f"error: lambda = {args.lam} does not divide k = {k}", file=sys.stderr)
             return EXIT_PRECONDITION
-        results = {args.lam: run_search(SearchJob(group, k, args.lam))}
+        results = {args.lam: run_search(job)}
 
     out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
+    docs: dict[str, object] = {}
     summary: dict[str, dict] = {}
-    for lam in sorted(results):
-        res = results[lam]
-        flags = [rec.flag_transitive for rec in res.records]
+    for lam, res in sorted(results.items()):
         summary[str(lam)] = {
             "lambda": lam,
             "block_count": res.job.b,
@@ -168,7 +156,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "iso_classes": res.iso_class_count,
             "distinct_block_sets": res.distinct_block_sets,
             "candidates_tested": res.candidates_tested,
-            "flag_transitive": flags,
+            "flag_transitive": [rec.flag_transitive for rec in res.records],
             "note": res.note,
         }
         print(
@@ -179,30 +167,21 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
         if out_dir:
             for idx, rec in enumerate(res.records, start=1):
-                path = out_dir / f"design_k{k}_l{lam}_c{idx:03d}.json"
                 meta = {
                     "group_file": gens_path.name,
-                    "base_block": [p + 1 for p in rec.base_block],
+                    "base_block": (rec.design.array[0] + 1).tolist(),
                     "lambda": lam,
                     "block_transitive": True,
                     "flag_transitive": rec.flag_transitive,
                     "stabilizer_order": rec.stabilizer_order,
                 }
-                save_design(path, rec.design, meta)
-                outputs.append(path)
+                docs[f"design_k{k}_l{lam}_c{idx:03d}.json"] = design_to_dict(rec.design, meta)
     if out_dir:
-        summary_path = out_dir / f"search_summary_k{k}.json"
-        _dump_json(summary_path, {"k": k, "results": summary, "tool_version": __version__})
-        outputs.append(summary_path)
-        _write_manifest(
-            out_dir,
-            "search",
-            [gens_path],
-            {"k": k, "lambda": args.lam, "all": args.all},
-            outputs,
-            started,
-        )
-        print(f"wrote {len(outputs)} files to {out_dir}")
+        summary_doc = {"k": k, "results": summary, "tool_version": __version__}
+        docs[f"search_summary_k{k}.json"] = summary_doc
+        params = {"k": k, "lambda": args.lam, "all": args.all}
+        paths = _write_outputs(out_dir, "search", [gens_path], params, docs, started)
+        print(f"wrote {len(paths)} files to {out_dir}")
     return EXIT_OK
 
 
@@ -251,19 +230,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     print(f"  block-transitive: {block_trans}   flag-transitive: {flag_trans}")
     if args.out:
-        out_dir = Path(args.out)
-        report_path = out_dir / "verify_report.json"
-        _dump_json(report_path, report)
         inputs = [gens_path] + ([Path(args.design)] if args.design else [])
-        _write_manifest(
-            out_dir,
-            "verify",
-            inputs,
-            {"t": t, "base_block": args.base_block, "design": args.design},
-            [report_path],
-            started,
+        params = {"t": t, "base_block": args.base_block, "design": args.design}
+        [path] = _write_outputs(
+            Path(args.out), "verify", inputs, params, {"verify_report.json": report}, started
         )
-        print(f"wrote {report_path}")
+        print(f"wrote {path}")
     return EXIT_OK if certified else EXIT_PRECONDITION
 
 
@@ -285,11 +257,9 @@ def _cmd_iso(args: argparse.Namespace) -> int:
         print(f"  class {idx}: {len(cls)} design(s): {', '.join(files)}")
         doc_classes.append({"members": files, "representative": files[0]})
     if args.out:
-        out_dir = Path(args.out)
-        report_path = out_dir / "iso_report.json"
-        _dump_json(report_path, {"classes": doc_classes, "tool_version": __version__})
-        _write_manifest(out_dir, "iso", paths, {}, [report_path], started)
-        print(f"wrote {report_path}")
+        doc = {"classes": doc_classes, "tool_version": __version__}
+        [path] = _write_outputs(Path(args.out), "iso", paths, {}, {"iso_report.json": doc}, started)
+        print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -207,10 +207,6 @@ def design_to_dict(D: Design, meta: Mapping[str, object] | None = None) -> dict:
     return doc
 
 
-def save_design(path: str | Path, D: Design, meta: Mapping[str, object] | None = None) -> None:
-    Path(path).write_text(json.dumps(design_to_dict(D, meta), indent=2, sort_keys=True) + "\n")
-
-
 def load_design(path: str | Path) -> tuple[Design, dict]:
     doc = json.loads(Path(path).read_text())
     if not (

@@ -41,16 +41,24 @@ class FactorizationError(ArithmeticError):
     """A composite cofactor resisted every splitting attempt allowed."""
 
 
+def _odd_sieve(limit: int) -> bytearray:
+    """Sieve of Eratosthenes on the odd numbers: entry i is 1 iff 2i + 1 <= limit
+    is prime."""
+    half = (limit + 1) // 2
+    sieve = bytearray([1]) * half
+    sieve[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
+    return sieve
+
+
 def _primes_up_to(limit: int) -> list[int]:
-    """The primes <= limit, by a sieve of Eratosthenes."""
+    """The primes <= limit."""
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    return list(compress(range(limit + 1), sieve))
+    return [2, *compress(range(1, limit + 1, 2), _odd_sieve(limit))]
 
 
 def _sieve_small() -> list[int]:
@@ -129,13 +137,7 @@ def _pollard_brent(n: int, seed: int = 1, max_r: int = _BRENT_MAX_R) -> int:
 def _pm1_setup() -> list:
     """Build the p-1 tables once, from an odd-only sieve up to B2."""
     if not _pm1_tables:
-        half = _PM1_B2 // 2 + 1  # index i stands for 2i + 1
-        sieve = bytearray([1]) * half
-        sieve[0] = 0
-        for i in range(1, (math.isqrt(_PM1_B2) + 1) // 2):
-            if sieve[i]:
-                p = 2 * i + 1
-                sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
+        sieve = _odd_sieve(_PM1_B2)
         exponent = 1 << (_PM1_B1.bit_length() - 1)
         p0 = 2
         for p in compress(range(1, _PM1_B1 + 1, 2), sieve[: (_PM1_B1 + 1) // 2]):

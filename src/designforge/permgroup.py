@@ -24,6 +24,8 @@ DEFAULT_CAP = 10_000_000
 _MUL_TABLE_MAX_ORDER = 16000
 # bytes of one block of multiplication-table rows gathered at a time
 _GATHER_BYTES = 1 << 20
+# images are stored as uint16, so points run up to 65535
+_MAX_DEGREE = 1 << 16
 
 # a stored subgroup class: least member H, generators of H, N_G(H) as sorted
 # uint16 indices
@@ -185,6 +187,8 @@ def write_generators(path: str | Path, degree: int, gens: Sequence[Permutation])
 
 
 def _dtype_for(degree: int) -> np.dtype:
+    if degree > _MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the limit {_MAX_DEGREE} of uint16 image rows")
     return np.dtype(np.uint8) if degree <= 255 else np.dtype(np.uint16)
 
 

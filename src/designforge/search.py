@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -48,6 +48,8 @@ class SearchJob:
     lam: int
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be positive")
         if self.group.degree != self.k * self.k:
             raise ValueError(f"group degree {self.group.degree} != k^2 = {self.k**2}")
         if self.lam < 1:
@@ -65,8 +67,9 @@ class SearchJob:
 
 @dataclass
 class DesignRecord:
+    """One isomorphism class: its least design, whose first block is the base block."""
+
     design: Design
-    base_block: tuple[int, ...]
     stabilizer_order: int
     flag_transitive: bool
 
@@ -74,12 +77,19 @@ class DesignRecord:
 @dataclass
 class SearchResult:
     job: SearchJob
-    designs: list[Design]
     records: list[DesignRecord]
-    iso_class_count: int
     distinct_block_sets: int
     candidates_tested: int
     note: str | None = None
+
+    @property
+    def designs(self) -> list[Design]:
+        """The class representatives, in class order."""
+        return [r.design for r in self.records]
+
+    @property
+    def iso_class_count(self) -> int:
+        return len(self.records)
 
 
 def _candidate_chunks(H: Subgroup, k: int, max_candidates: int = MAX_CANDIDATES):
@@ -94,49 +104,33 @@ def _candidate_chunks(H: Subgroup, k: int, max_candidates: int = MAX_CANDIDATES)
     for orb in orbits(H):
         by_len.setdefault(len(orb), []).append(orb)
     lengths = sorted(by_len)
-    patterns: list[tuple[tuple[int, int], ...]] = []
-
-    def rec(idx: int, remaining: int, acc: list[tuple[int, int]]):
-        if remaining == 0:
-            patterns.append(tuple(acc))
-            return
-        if idx == len(lengths):
-            return
-        ln = lengths[idx]
-        max_c = min(len(by_len[ln]), remaining // ln)
-        for c in range(max_c + 1):
-            if c:
-                acc.append((ln, c))
-            rec(idx + 1, remaining - c * ln, acc)
-            if c:
-                acc.pop()
-
-    rec(0, k, [])
+    # counts[i] orbits of length lengths[i], for every choice with k points
+    patterns = [
+        counts
+        for counts in product(*(range(min(len(by_len[ln]), k // ln) + 1) for ln in lengths))
+        if sum(c * ln for c, ln in zip(counts, lengths)) == k
+    ]
     total = sum(
-        math.prod(math.comb(len(by_len[ln]), c) for ln, c in pattern) for pattern in patterns
+        math.prod(math.comb(len(by_len[ln]), c) for ln, c in zip(lengths, counts))
+        for counts in patterns
     )
     if total > max_candidates:
         raise CandidateExplosionError(
             f"{total} orbit-union candidates for one subgroup class exceed "
             f"the {max_candidates} guard"
         )
-    for pattern in patterns:
+    for counts in patterns:
         groups = []
-        for ln, c in pattern:
-            orb_arr = np.array(by_len[ln], dtype=np.int64)  # (n_orbits, ln)
-            combos = np.array(list(combinations(range(len(by_len[ln])), c)), dtype=np.int64)
-            groups.append(orb_arr[combos].reshape(len(combos), c * ln))
+        for ln, c in zip(lengths, counts):
+            if c:
+                orb_arr = np.array(by_len[ln], dtype=np.int64)  # (n_orbits, ln)
+                combos = np.array(list(combinations(range(len(by_len[ln])), c)), dtype=np.int64)
+                groups.append(orb_arr[combos].reshape(len(combos), c * ln))
         sizes = [g.shape[0] for g in groups]
         count = math.prod(sizes)
         for start in range(0, count, _CHUNK):
-            stop = min(start + _CHUNK, count)
-            idx = np.arange(start, stop, dtype=np.int64)
-            parts = []
-            rem = idx
-            for g, size in zip(reversed(groups), reversed(sizes)):
-                parts.append(g[rem % size])
-                rem = rem // size
-            block = np.concatenate(list(reversed(parts)), axis=1)
+            idx = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), sizes)
+            block = np.concatenate([g[i] for g, i in zip(groups, idx)], axis=1)
             block.sort(axis=1)
             yield block
 
@@ -188,7 +182,7 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
     G = job.group
     m = job.stabilizer_order
     if m is None:
-        return SearchResult(job, [], [], 0, 0, 0, note="inadmissible block count")
+        return SearchResult(job, [], 0, 0, note="inadmissible block count")
     labels, sizes = pair_orbit_table(G)
     rows = G.images_array()
     designs: list[Design] = []
@@ -208,30 +202,12 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
                 if lambda_of(D, 2) == job.lam:
                     designs.append(D)
     designs.sort(key=order_key)
-    if not designs:
-        return SearchResult(job, [], [], 0, 0, tested)
-    classes_idx = iso_classes(designs)
-    reps = class_representatives(designs, classes_idx)
-    records = []
-    for i in reps:
-        D = designs[i]
-        base = tuple(D.array[0].tolist())
-        records.append(
-            DesignRecord(
-                design=D,
-                base_block=base,
-                stabilizer_order=set_stabilizer(G, base).order,
-                flag_transitive=is_flag_transitive(G, D),
-            )
-        )
-    return SearchResult(
-        job,
-        [r.design for r in records],
-        records,
-        iso_class_count=len(classes_idx),
-        distinct_block_sets=len(designs),
-        candidates_tested=tested,
-    )
+    reps = class_representatives(designs, iso_classes(designs)) if designs else []
+    records = [
+        DesignRecord(D, set_stabilizer(G, D.array[0]).order, is_flag_transitive(G, D))
+        for D in (designs[i] for i in reps)
+    ]
+    return SearchResult(job, records, distinct_block_sets=len(designs), candidates_tested=tested)
 
 
 def full_sweep(
@@ -243,6 +219,8 @@ def full_sweep(
     be flag-transitive, and no flag-transitive such design exists; a flag can
     re-enable it for exploration.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     if group.degree != k * k:
         raise ValueError(f"group degree {group.degree} != k^2 = {k**2}")
     lams = [d for d in range(1, k + 1) if k % d == 0 and (include_lambda_1 or d >= 2)]

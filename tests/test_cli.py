@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -112,6 +113,34 @@ def test_search_cli_lambda_not_positive(capsys, s4_gens, lam):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [["--all"], ["--lambda", "3"]])
+def test_search_cli_k_not_positive(capsys, mode):
+    # (-12)^2 = 144 matches the degree, so only the sign of k is wrong
+    rc = cli.main(["search", "--gens", data_path("psl33.gens"), "--k", "-12", *mode])
+    assert rc == cli.EXIT_PRECONDITION
+    assert "error: k must be positive" in capsys.readouterr().err
+
+
+def test_search_gens_degree_above_limit(tmp_path, capsys):
+    path = tmp_path / "big.gens"
+    path.write_text("degree: 65537\n(1,2)\n")
+    rc = cli.main(["search", "--gens", str(path), "--k", "257", "--lambda", "1"])
+    assert rc == cli.EXIT_PRECONDITION
+    assert "degree 65537 exceeds the limit 65536" in capsys.readouterr().err
+
+
+def test_search_out_dir_without_designs(tmp_path, s4_gens, capsys):
+    out = tmp_path / "empty"
+    rc = cli.main(["search", "--gens", str(s4_gens), "--k", "2", "--lambda", "2",
+                   "--out-dir", str(out)])
+    assert rc == cli.EXIT_OK
+    assert f"wrote 1 files to {out}" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "search_summary_k2.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / "search_summary_k2.json")]
+    assert manifest["inputs"] == {str(s4_gens): hashlib.sha256(s4_gens.read_bytes()).hexdigest()}
+
+
 def test_search_cap_env(monkeypatch, capsys):
     monkeypatch.setenv(cli.CAP_ENV, "100")
     rc = cli.main(["search", "--gens", data_path("psl33.gens"), "--k", "12", "--lambda", "2"])
@@ -149,6 +178,14 @@ def test_verify_design_file_and_iso(tmp_path, s4_gens, capsys):
     assert rc == cli.EXIT_OK
     report = json.loads((tmp_path / "iso" / "iso_report.json").read_text())
     assert len(report["classes"]) == 1
+
+
+def test_verify_design_degree_mismatch(tmp_path, s4_gens, capsys):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"v": 3, "k": 2, "blocks": [[1, 2], [1, 3], [2, 3]]}))
+    rc = cli.main(["verify", "--gens", str(s4_gens), "--design", str(path)])
+    assert rc == cli.EXIT_PRECONDITION
+    assert "error: design point count != group degree" in capsys.readouterr().err
 
 
 def test_verify_requires_input(capsys):

@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from designforge import cli
 from designforge import design as dz
 from designforge import permgroup as pg
 from designforge.screen import x_order
@@ -243,7 +244,7 @@ def test_design_file_round_trip(tmp_path, psl33):
     D = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
     path = tmp_path / "d1.json"
     meta = {"lambda": 3, "group_file": "psl33.gens"}
-    dz.save_design(path, D, meta)
+    cli._dump_json(path, dz.design_to_dict(D, meta))
     loaded, loaded_meta = dz.load_design(path)
     assert loaded == D
     assert loaded_meta["lambda"] == 3

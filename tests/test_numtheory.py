@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -89,6 +90,22 @@ def test_pm1_tables_not_built_at_import():
         timeout=60,
     )
     assert proc.stdout.strip() == "0"
+
+
+def test_primes_up_to_matches_trial_division():
+    primes = [p for p in range(2, 2001) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for n in range(2001):
+        assert nt._primes_up_to(n) == [p for p in primes if p <= n]
+
+
+def test_pm1_tables_match_recorded_values():
+    # pins the tables built from the shared odd-only sieve; E is hashed in hex
+    # because its 21700 decimal digits exceed what str() converts by default
+    exponent, p0, half_gaps, max_half_gap = nt._pm1_setup()
+    assert (p0, len(half_gaps), max(half_gaps), max_half_gap) == (49999, 143800, 66, 66)
+    assert hashlib.sha256(hex(exponent).encode()).hexdigest() == (
+        "e85beac20f5caba16129593defefc91013fd64aded796f72c9b12e44a2e339fd"
+    )
 
 
 def test_factorization_string():
