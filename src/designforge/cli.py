@@ -134,10 +134,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     group = GroupTable.from_file(gens_path, cap=_cap_from_env())
     k = args.k
     if args.all:
-        results = full_sweep(group, k, include_lambda_1=args.include_lambda_1)
-    elif args.lam is None:
-        print("error: provide --lambda or --all", file=sys.stderr)
-        return EXIT_PRECONDITION
+        results = full_sweep(group, k)
     else:
         job = SearchJob(group, k, args.lam)
         if k % args.lam:
@@ -190,16 +187,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cap = _cap_from_env()
     gens_path = Path(args.gens)
     group = GroupTable.from_file(args.gens, cap=cap)
-    if args.design:
+    if args.design is not None:
         design, meta = load_design(args.design)
         source = f"design file {args.design}"
-    elif args.base_block:
+    else:
         base = _parse_points(args.base_block)
         design = from_base_block(group, base)
         source = f"orbit of base block {args.base_block}"
-    else:
-        print("error: provide --design or --base-block", file=sys.stderr)
-        return EXIT_PRECONDITION
     if design.v != group.degree:
         print("error: design point count != group degree", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -287,18 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="enumerate block-transitive designs")
     p_search.add_argument("--gens", required=True, help="generator file")
     p_search.add_argument("--k", type=int, required=True)
-    p_search.add_argument("--lambda", dest="lam", type=int, default=None)
-    p_search.add_argument("--all", action="store_true", help="sweep every lambda dividing k")
-    p_search.add_argument(
-        "--include-lambda-1", action="store_true", help="also search lambda = 1 (exploratory)"
-    )
+    which = p_search.add_mutually_exclusive_group(required=True)
+    which.add_argument("--lambda", dest="lam", type=int, default=None)
+    which.add_argument("--all", action="store_true", help="sweep every lambda >= 2 dividing k")
     p_search.add_argument("--out-dir", default=None)
     p_search.set_defaults(func=_cmd_search)
 
     p_verify = sub.add_parser("verify", help="verify a design or base-block orbit")
     p_verify.add_argument("--gens", required=True)
-    p_verify.add_argument("--design", default=None)
-    p_verify.add_argument("--base-block", default=None, help="1-based comma-separated points")
+    source = p_verify.add_mutually_exclusive_group(required=True)
+    source.add_argument("--design", default=None)
+    source.add_argument("--base-block", default=None, help="1-based comma-separated points")
     p_verify.add_argument("--t", type=int, default=2)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify)

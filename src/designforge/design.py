@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -93,31 +92,6 @@ def order_key(D: Design) -> tuple[int, tuple[int, ...], bytes]:
     bytes of the block array compare block by block, a prefix first.
     """
     return D.v, tuple(D.array[0].tolist()), D.array.astype(">i8").tobytes()
-
-
-@dataclass(frozen=True)
-class DesignParams:
-    """Admissible parameter set of a t-design, with derived counts."""
-
-    t: int
-    v: int
-    k: int
-    lam: int
-
-    def __post_init__(self) -> None:
-        if not (0 < self.t <= self.k <= self.v and self.lam > 0):
-            raise ValueError("need 0 < t <= k <= v and lambda > 0")
-        for s in range(self.t + 1):
-            if lambda_s(self.t, self.v, self.k, self.lam, s).denominator != 1:
-                raise ValueError(f"lambda_{s} is not integral")
-
-    @property
-    def b(self) -> int:
-        return int(lambda_s(self.t, self.v, self.k, self.lam, 0))
-
-    @property
-    def gamma(self) -> int:
-        return int(lambda_s(self.t, self.v, self.k, self.lam, 1))
 
 
 def lambda_s(t: int, v: int, k: int, lam: int, s: int) -> Fraction:

@@ -50,9 +50,17 @@ import numpy as np
 from .design import Design, order_key
 
 _U64 = np.uint64
-_RNG_WEIGHTS = np.random.default_rng(0x5EED5EED).integers(
-    1, np.iinfo(np.int64).max, size=4096, dtype=np.int64
-).astype(_U64) | _U64(1)
+
+
+def _weights(n: int) -> np.ndarray:
+    """n odd uint64 hash weights from one seeded draw; a longer draw starts
+    with the same values, so a row's hash does not depend on the table size."""
+    return np.random.default_rng(0x5EED5EED).integers(
+        1, np.iinfo(np.int64).max, size=n, dtype=np.int64
+    ).astype(_U64) | _U64(1)
+
+
+_RNG_WEIGHTS = _weights(4096)
 
 
 def _mix(arr: np.ndarray) -> np.ndarray:
@@ -70,7 +78,8 @@ def _mix(arr: np.ndarray) -> np.ndarray:
 def _row_multiset_hash(rows: np.ndarray) -> np.ndarray:
     """Order-insensitive 64-bit hash of each row (sorted dot with fixed weights)."""
     srt = np.sort(rows, axis=1).astype(_U64)
-    w = _RNG_WEIGHTS[: srt.shape[1]]
+    n = srt.shape[1]
+    w = _RNG_WEIGHTS[:n] if n <= len(_RNG_WEIGHTS) else _weights(n)
     return _mix((srt * w[None, :]).sum(axis=1))
 
 

@@ -21,11 +21,12 @@ _small_primes: list[int] = []
 
 # Splitting a composite cofactor: a short Brent run (cycle length up to
 # _BRENT_SHORT_R), then one Pollard p-1 run with these bounds, then full Brent
-# runs (cycle length up to _BRENT_MAX_R).  A prime factor of a cyclotomic
-# value Phi_d(q) that does not divide d is 1 mod d, and the screen's hard
-# cofactors have a prime p with p - 1 smooth enough for p-1 where rho needs
-# ~sqrt(p) steps.
+# runs with seeds 1.._BRENT_SEEDS (cycle length up to _BRENT_MAX_R).  A prime
+# factor of a cyclotomic value Phi_d(q) that does not divide d is 1 mod d, and
+# the screen's hard cofactors have a prime p with p - 1 smooth enough for p-1
+# where rho needs ~sqrt(p) steps.
 _BRENT_SHORT_R = 1 << 13
+_BRENT_SEEDS = 8
 _BRENT_MAX_R = 1 << 22
 _PM1_B1 = 50_000
 _PM1_B2 = 2_000_000
@@ -186,14 +187,14 @@ def _pollard_pm1(n: int) -> int:
     return 1
 
 
-def factorize(n: int, effort: int = 8) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Factor n > 0 into prime powers.
 
     Every key is a proven prime when it is below _MR_PROVEN_BELOW, and a
     strong probable prime to the 13 bases of `is_prime` above it.  A
     composite cofactor is split by a short Pollard-Brent run, then one
-    Pollard p-1 run, then Pollard-Brent with seeds 1..effort; the first two
-    belong to the first of the `effort` attempts, so effort=0 tries nothing.
+    Pollard p-1 run, then Pollard-Brent with seeds 1.._BRENT_SEEDS; the first
+    two belong to the first of those rounds, so _BRENT_SEEDS = 0 tries nothing.
     Raises FactorizationError when a cofactor resists them all, rather than
     returning it as a key.
     """
@@ -221,17 +222,17 @@ def factorize(n: int, effort: int = 8) -> dict[int, int]:
             stack.extend((root, root))
             continue
         d = m
-        if effort > 0:
+        if _BRENT_SEEDS > 0:
             d = _pollard_brent(m, 1, _BRENT_SHORT_R)
             if d == m:
                 d = _pollard_pm1(m)
-        for seed in range(1, effort + 1):
+        for seed in range(1, _BRENT_SEEDS + 1):
             if d not in (1, m):
                 break
             d = _pollard_brent(m, seed)
         if d in (1, m):
-            tried = f"{effort} Pollard-Brent rounds"
-            if effort > 0:
+            tried = f"{_BRENT_SEEDS} Pollard-Brent rounds"
+            if _BRENT_SEEDS > 0:
                 tried += f" and a Pollard p-1 run to B1={_PM1_B1}, B2={_PM1_B2}"
             raise FactorizationError(f"composite cofactor {m} of {n} not split by {tried}")
         stack.extend((d, m // d))
@@ -314,22 +315,15 @@ def parse_factorization(text: str) -> Fraction:
     return Fraction(product(num_text), product(den_text) if den_text else 1)
 
 
-def p_part(m: int, p: int) -> int:
-    """Largest power of p dividing m."""
-    if m < 1:
-        raise ValueError("p_part expects m >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    out = 1
-    while m % p == 0:
-        out *= p
-        m //= p
-    return out
-
-
 def p_prime_part(m: int, p: int) -> int:
     """The p'-part of m: m with all factors of p removed."""
-    return m // p_part(m, p)
+    if m < 1:
+        raise ValueError("p_prime_part expects m >= 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    while m % p == 0:
+        m //= p
+    return m
 
 
 def is_perfect_square(n: int) -> bool:

@@ -177,11 +177,6 @@ def load_generators(path: str | Path) -> tuple[int, list[Permutation]]:
     return degree, gens
 
 
-def write_generators(path: str | Path, degree: int, gens: Sequence[Permutation]) -> None:
-    lines = [f"degree: {degree}"] + [print_cycles(g) for g in gens]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # group tables
 

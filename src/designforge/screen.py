@@ -143,9 +143,6 @@ class PrimePower:
         p, f = prime_power_decomposition(q)
         return cls(p, f)
 
-    def __str__(self) -> str:
-        return str(self.q)
-
 
 @dataclass(frozen=True)
 class CaseSpec:
@@ -294,10 +291,8 @@ def h0_order(case: CaseSpec) -> tuple[int, bool]:
     elif fam == "C8u":
         q0 = case.get("q0")
         value = Fraction(su_order(n, q0) * math.gcd(n, q0 - 1), math.gcd(n, q - 1))
-    elif fam == "S":
+    else:  # "S"
         value = Fraction(case.get("h0"))
-    else:
-        raise ScreenError(f"unhandled family {fam}")
     if value.denominator != 1:
         raise NonDivisibleError(f"{case.label()}: stabilizer order formula not integral")
     return int(value), True
@@ -701,19 +696,12 @@ def _derived_s_n3_qs(h0: int) -> list[int]:
     return out
 
 
-def _union(*lists: Iterable[int]) -> list[int]:
-    out: set[int] = set()
-    for lst in lists:
-        out.update(lst)
-    return sorted(out)
-
-
 # S-family data: (n, subgroup name, |H0|, stated condition, default q list).
 # Rows whose condition leaves q unbounded are represented by exemplar values;
 # the published classification of large-socle candidates eliminates the rest.
 def _s_family_rows() -> list[tuple[int, str, int, str, list[int]]]:
-    psl27 = _union(_derived_s_n3_qs(168), [3, 5, 7, 9, 11])
-    a6 = _union(_derived_s_n3_qs(360), [3, 5, 7, 11, 13])
+    psl27 = sorted({*_derived_s_n3_qs(168), 3, 5, 7, 9, 11})
+    a6 = sorted({*_derived_s_n3_qs(360), 3, 5, 7, 11, 13})
     return [
         (3, "PSL(2,7)", 168, "q = p odd", psl27),
         (3, "A6", 360, "q = p or p^2, odd", a6),
@@ -782,7 +770,7 @@ def default_cases(family: str) -> list[tuple[CaseSpec, list[str], tuple[str, int
             add(_case("C2", 4, q, a=2, e=2))
         add(_case("C2", 6, 2, a=2, e=3), ["order bound eliminates every q here"])
     elif family == "C3":
-        for q in _union(_derived_c3_field_ext_qs(), PUBLISHED_V["C3:n=3,theta=3"]):
+        for q in sorted({*_derived_c3_field_ext_qs(), *PUBLISHED_V["C3:n=3,theta=3"]}):
             add(_case("C3", 3, q, i=1, theta=3), pub=("C3:n=3,theta=3", q))
         for q in (2, 3, 4):
             add(_case("C3", 6, q, i=2, theta=3))
@@ -796,12 +784,12 @@ def default_cases(family: str) -> list[tuple[CaseSpec, list[str], tuple[str, int
             for q in (2, 3, 4):
                 add(_case("C4", n, q, i=i))
     elif family == "C5":
-        for q0 in _union(_derived_c5_n3_qs(1), PUBLISHED_V["C5:n=3,u=2,zeta=1"]):
+        for q0 in sorted({*_derived_c5_n3_qs(1), *PUBLISHED_V["C5:n=3,u=2,zeta=1"]}):
             add(
                 _case("C5", 3, q0 * q0, q0=q0, u=2),
                 pub=("C5:n=3,u=2,zeta=1", q0),
             )
-        for q0 in _union(_derived_c5_n3_qs(3), PUBLISHED_V["C5:n=3,u=2,zeta=3"]):
+        for q0 in sorted({*_derived_c5_n3_qs(3), *PUBLISHED_V["C5:n=3,u=2,zeta=3"]}):
             add(
                 _case("C5", 3, q0 * q0, q0=q0, u=2),
                 pub=("C5:n=3,u=2,zeta=3", q0),
@@ -838,7 +826,7 @@ def default_cases(family: str) -> list[tuple[CaseSpec, list[str], tuple[str, int
         for q in (2, 3, 4):
             add(_case("C7", 9, q, i=3, ell=2))
     elif family == "C8s":
-        for q in _union([2, 4, 8, 16], [q for q in _pp(128) if q % 2]):
+        for q in [q for q in _pp(128) if q % 2 or q <= 16]:
             add(_case("C8s", 4, q))
         for q in _pp(16):
             add(_case("C8s", 6, q))
@@ -857,7 +845,7 @@ def default_cases(family: str) -> list[tuple[CaseSpec, list[str], tuple[str, int
             for eps in (1, -1):
                 add(_case("C8o", 6, q, epsilon=eps))
     elif family == "C8u":
-        for q0 in _union(_derived_c8u_n3_qs(True), PUBLISHED_V["C8u:n=3,delta=1"]):
+        for q0 in sorted({*_derived_c8u_n3_qs(True), *PUBLISHED_V["C8u:n=3,delta=1"]}):
             add(_case("C8u", 3, q0 * q0, q0=q0), pub=("C8u:n=3,delta=1", q0))
         for q0 in _derived_c8u_n3_qs(False):
             add(
@@ -902,6 +890,10 @@ def case_screen(
     for fam in fams:
         if fam not in FAMILIES:
             raise ScreenError(f"unknown family {fam!r}")
+    if n_filter is not None and n_filter < 3:
+        raise ScreenError("n >= 3 required")
+    if q_filter is not None:
+        prime_power_decomposition(q_filter)  # raises ValueError unless q is a prime power
     reports = []
     for fam in fams:
         triples = default_cases(fam)

@@ -92,12 +92,12 @@ class SearchResult:
         return len(self.records)
 
 
-def _candidate_chunks(H: Subgroup, k: int, max_candidates: int = MAX_CANDIDATES):
+def _candidate_chunks(H: Subgroup, k: int):
     """Yield (n, k) int arrays of candidate point sets, in deterministic order:
     every union of H-orbits with k points, each row sorted.
 
     The orbits and the composition patterns (how many orbits of each length)
-    are computed once; more than max_candidates candidates raise
+    are computed once; more than MAX_CANDIDATES candidates raise
     CandidateExplosionError before the first chunk is yielded.
     """
     by_len: dict[int, list[tuple[int, ...]]] = {}
@@ -114,10 +114,10 @@ def _candidate_chunks(H: Subgroup, k: int, max_candidates: int = MAX_CANDIDATES)
         math.prod(math.comb(len(by_len[ln]), c) for ln, c in zip(lengths, counts))
         for counts in patterns
     )
-    if total > max_candidates:
+    if total > MAX_CANDIDATES:
         raise CandidateExplosionError(
             f"{total} orbit-union candidates for one subgroup class exceed "
-            f"the {max_candidates} guard"
+            f"the {MAX_CANDIDATES} guard"
         )
     for counts in patterns:
         groups = []
@@ -153,7 +153,7 @@ def _proportionality_filter(
     return ok
 
 
-def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
+def run(job: SearchJob) -> SearchResult:
     """Enumerate all block-transitive 2-(k^2,k,lambda) designs for the job.
 
     For each conjugacy class of subgroups of the forced stabilizer order m,
@@ -189,7 +189,7 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
     tested = 0
     for H in subgroups_of_order(G, m):
         normalizer_rows = normalizer(H).images_array()
-        for chunk in _candidate_chunks(H, job.k, max_candidates):
+        for chunk in _candidate_chunks(H, job.k):
             tested += len(chunk)
             keep = _proportionality_filter(chunk, labels, sizes, job.lam, job.b)
             for base in chunk[keep]:
@@ -210,18 +210,16 @@ def run(job: SearchJob, max_candidates: int = MAX_CANDIDATES) -> SearchResult:
     return SearchResult(job, records, distinct_block_sets=len(designs), candidates_tested=tested)
 
 
-def full_sweep(
-    group: GroupTable, k: int, include_lambda_1: bool = False
-) -> dict[int, SearchResult]:
-    """Run the search for every divisor lambda of k (lambda >= 2 by default).
+def full_sweep(group: GroupTable, k: int) -> dict[int, SearchResult]:
+    """Run the search for every divisor lambda >= 2 of k.
 
     lambda = 1 is excluded because a block-transitive 2-(k^2,k,1) design would
-    be flag-transitive, and no flag-transitive such design exists; a flag can
-    re-enable it for exploration.
+    be flag-transitive, and no flag-transitive such design exists; a single
+    `run` with lambda = 1 still searches it.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if group.degree != k * k:
         raise ValueError(f"group degree {group.degree} != k^2 = {k**2}")
-    lams = [d for d in range(1, k + 1) if k % d == 0 and (include_lambda_1 or d >= 2)]
+    lams = [d for d in range(2, k + 1) if k % d == 0]
     return {lam: run(SearchJob(group, k, lam)) for lam in lams}

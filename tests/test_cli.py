@@ -8,13 +8,12 @@ import pytest
 
 from designforge import cli, data_path
 from designforge import numtheory as nt
-from designforge import permgroup as pg
 
 
 @pytest.fixture()
 def s4_gens(tmp_path) -> Path:
     path = tmp_path / "s4.gens"
-    pg.write_generators(path, 4, [pg.parse_cycles("(1,2)", 4), pg.parse_cycles("(1,2,3,4)", 4)])
+    path.write_text("degree: 4\n(1,2)\n(1,2,3,4)\n")
     return path
 
 
@@ -38,6 +37,22 @@ def test_screen_unknown_family():
     assert rc == cli.EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize(
+    "filters, message",
+    [
+        (["--q", "6"], "6 is not a prime power"),
+        (["--q", "1"], "1 is not a prime power"),
+        (["--n", "2"], "n >= 3 required"),
+        (["--n", "0"], "n >= 3 required"),
+    ],
+    ids=["q6", "q1", "n2", "n0"],
+)
+def test_screen_rejects_a_bad_filter_alone(capsys, filters, message):
+    rc = cli.main(["screen", *filters])
+    assert rc == cli.EXIT_PRECONDITION
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_screen_factorization_effort_exhausted(monkeypatch):
     def exhausted(*args, **kwargs):
         raise nt.FactorizationError("composite cofactor not split")
@@ -59,23 +74,22 @@ def test_screen_writes_report(tmp_path, capsys):
 
 def test_search_cli_toy(tmp_path, s4_gens, capsys):
     out = tmp_path / "runout"
+    rc = cli.main(["search", "--gens", str(s4_gens), "--k", "2", "--all", "--out-dir", str(out)])
+    assert rc == cli.EXIT_OK
+    summary = json.loads((out / "search_summary_k2.json").read_text())
+    assert sorted(summary["results"]) == ["2"]  # --all sweeps lambda >= 2
+    assert summary["results"]["2"]["iso_classes"] == 0
+    assert not list(out.glob("design_*.json"))
+
+
+def test_search_cli_toy_lambda_1(tmp_path, s4_gens, capsys):
+    out = tmp_path / "runout"
     rc = cli.main(
-        [
-            "search",
-            "--gens",
-            str(s4_gens),
-            "--k",
-            "2",
-            "--all",
-            "--include-lambda-1",
-            "--out-dir",
-            str(out),
-        ]
+        ["search", "--gens", str(s4_gens), "--k", "2", "--lambda", "1", "--out-dir", str(out)]
     )
     assert rc == cli.EXIT_OK
     summary = json.loads((out / "search_summary_k2.json").read_text())
     assert summary["results"]["1"]["iso_classes"] == 1
-    assert summary["results"]["2"]["iso_classes"] == 0
     design_files = sorted(out.glob("design_*.json"))
     assert len(design_files) == 1
     doc = json.loads(design_files[0].read_text())
@@ -87,8 +101,7 @@ def test_search_cli_byte_determinism(tmp_path, s4_gens):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         rc = cli.main(
-            ["search", "--gens", str(s4_gens), "--k", "2", "--lambda", "1",
-             "--include-lambda-1", "--out-dir", str(out)]
+            ["search", "--gens", str(s4_gens), "--k", "2", "--lambda", "1", "--out-dir", str(out)]
         )
         assert rc == cli.EXIT_OK
     for name in ("search_summary_k2.json", "design_k2_l1_c001.json"):
@@ -165,10 +178,7 @@ def test_verify_base_block(capsys):
 
 def test_verify_design_file_and_iso(tmp_path, s4_gens, capsys):
     out = tmp_path / "designs"
-    cli.main(
-        ["search", "--gens", str(s4_gens), "--k", "2", "--lambda", "1",
-         "--include-lambda-1", "--out-dir", str(out)]
-    )
+    cli.main(["search", "--gens", str(s4_gens), "--k", "2", "--lambda", "1", "--out-dir", str(out)])
     design_file = next(out.glob("design_*.json"))
     rc = cli.main(["verify", "--gens", str(s4_gens), "--design", str(design_file), "--t", "2"])
     assert rc == cli.EXIT_OK
@@ -189,8 +199,27 @@ def test_verify_design_degree_mismatch(tmp_path, s4_gens, capsys):
 
 
 def test_verify_requires_input(capsys):
-    rc = cli.main(["verify", "--gens", data_path("psl33.gens")])
-    assert rc == cli.EXIT_PRECONDITION
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--gens", data_path("psl33.gens")])
+    assert exc.value.code == cli.EXIT_PRECONDITION
+    assert "one of the arguments --design --base-block is required" in capsys.readouterr().err
+
+
+def test_verify_design_and_base_block_exclusive(tmp_path, s4_gens, capsys):
+    design = tmp_path / "d.json"
+    design.write_text(json.dumps({"v": 4, "k": 2, "blocks": [[1, 2]]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--gens", str(s4_gens), "--design", str(design), "--base-block", "1,2"])
+    assert exc.value.code == cli.EXIT_PRECONDITION
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [[], ["--lambda", "1", "--all"]], ids=["neither", "both"])
+def test_search_lambda_xor_all(s4_gens, capsys, mode):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--gens", str(s4_gens), "--k", "2", *mode])
+    assert exc.value.code == cli.EXIT_PRECONDITION
+    assert "--lambda" in capsys.readouterr().err
 
 
 def test_verify_report_written(tmp_path, capsys):

@@ -32,12 +32,12 @@ def test_lambda_s_fractional():
 
 
 def test_design_params_consistency():
-    params = dz.DesignParams(2, 144, 12, 3)
-    assert params.b == 468 and params.gamma == 39
-    assert params.b * params.k == params.v * params.gamma
-    assert params.gamma * (params.k - 1) == params.lam * (params.v - 1)
-    with pytest.raises(ValueError):
-        dz.DesignParams(3, 144, 12, 1)  # lambda_0 not integral
+    t, v, k, lam = 2, 144, 12, 3
+    b, gamma = dz.lambda_s(t, v, k, lam, 0), dz.lambda_s(t, v, k, lam, 1)
+    assert b == 468 and gamma == 39
+    assert b * k == v * gamma
+    assert gamma * (k - 1) == lam * (v - 1)
+    assert dz.lambda_s(3, 144, 12, 1, 0).denominator != 1  # 3-(144,12,1): lambda_0 not integral
 
 
 def test_admissible_t_reference():

@@ -306,6 +306,18 @@ def test_non_isomorphic_same_parameters():
     assert cert.bijection is None
 
 
+def test_hash_rows_longer_than_the_weight_table():
+    # the pair {0, 1} lies on 98 blocks, so its row of meets holds 98*97/2 = 4753
+    # entries, more than the 4096 precomputed weights
+    D = dz.Design(100, [(0, 1, x) for x in range(2, 100)])
+    reversed_D = D.relabel(list(range(99, -1, -1)))
+    cert = iso.are_isomorphic(D, reversed_D)
+    assert cert.isomorphic
+    assert D.relabel(cert.bijection) == reversed_D
+    # a longer draw extends the table, so rows of <= 4096 entries hash as before
+    assert (iso._weights(5000)[:4096] == iso._RNG_WEIGHTS).all()
+
+
 def test_mismatched_vk_rejected():
     small = dz.Design(6, [(0, 1, 2)])
     with pytest.raises(ValueError):

@@ -32,10 +32,12 @@ def test_factorize_roundtrip():
         assert prod == n
 
 
-def test_factorize_raises_when_effort_runs_out():
+def test_factorize_raises_when_effort_runs_out(monkeypatch):
     n = 1000003 * 1000033
-    with pytest.raises(nt.FactorizationError):
-        nt.factorize(n, effort=0)
+    with monkeypatch.context() as m:
+        m.setattr(nt, "_BRENT_SEEDS", 0)
+        with pytest.raises(nt.FactorizationError):
+            nt.factorize(n)
     assert issubclass(nt.FactorizationError, ArithmeticError)
     assert nt.factorize(n) == {1000003: 1, 1000033: 1}
 
@@ -66,12 +68,14 @@ def test_pollard_pm1_fails_and_rho_still_splits():
 
 
 def test_factorization_error_names_what_ran(monkeypatch):
+    monkeypatch.setattr(nt, "_BRENT_SEEDS", 0)
     with pytest.raises(nt.FactorizationError, match=r"by 0 Pollard-Brent rounds$"):
-        nt.factorize(1000003 * 1000033, effort=0)
+        nt.factorize(1000003 * 1000033)
     # with rho disabled, p-1 alone meets a number it cannot split
+    monkeypatch.setattr(nt, "_BRENT_SEEDS", 2)
     monkeypatch.setattr(nt, "_pollard_brent", lambda n, seed=1, max_r=0: n)
     with pytest.raises(nt.FactorizationError) as err:
-        nt.factorize(1000000007 * 2000000579, effort=2)
+        nt.factorize(1000000007 * 2000000579)
     assert str(err.value).endswith(
         "by 2 Pollard-Brent rounds and a Pollard p-1 run to B1=50000, B2=2000000"
     )
@@ -121,12 +125,13 @@ def test_parse_factorization_inverse():
 
 
 def test_p_part():
-    assert nt.p_part(48, 2) == 16
-    assert nt.p_part(5616, 3) == 27
-    assert nt.p_part(7, 5) == 1
+    assert nt.p_prime_part(48, 2) == 48 // 16
     assert nt.p_prime_part(5616, 3) == 5616 // 27
+    assert nt.p_prime_part(7, 5) == 7
     with pytest.raises(ValueError):
-        nt.p_part(10, 4)
+        nt.p_prime_part(10, 4)
+    with pytest.raises(ValueError):
+        nt.p_prime_part(0, 2)
 
 
 def test_square_and_prime_powers():

@@ -65,10 +65,11 @@ def test_orbit_union_pairs_of_six_orbits(psl33):
         assert len(cand) == 12
 
 
-def test_orbit_union_explosion_guard(sym4):
+def test_orbit_union_explosion_guard(sym4, monkeypatch):
     # b = 24 = |S4| forces the trivial stabilizer: C(4, 2) = 6 candidates > 3
-    with pytest.raises(sr.CandidateExplosionError):
-        sr.run(sr.SearchJob(sym4, 2, 4), max_candidates=3)
+    monkeypatch.setattr(sr, "MAX_CANDIDATES", 3)
+    with pytest.raises(sr.CandidateExplosionError, match="exceed the 3 guard"):
+        sr.run(sr.SearchJob(sym4, 2, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +102,14 @@ def test_pair_orbit_table(name, request):
 
 
 def test_s4_sweep(sym4):
-    results = sr.full_sweep(sym4, 2, include_lambda_1=True)
-    assert sorted(results) == [1, 2]
-    assert results[1].iso_class_count == 1
-    D = results[1].designs[0]
-    assert D.b == 6 and dz.lambda_of(D, 2) == 1
-    assert results[1].records[0].flag_transitive
+    results = sr.full_sweep(sym4, 2)
+    assert sorted(results) == [2]  # lambda = 1 is searched only on request
     assert results[2].iso_class_count == 0
+    lam1 = sr.run(sr.SearchJob(sym4, 2, 1))
+    assert lam1.iso_class_count == 1
+    D = lam1.designs[0]
+    assert D.b == 6 and dz.lambda_of(D, 2) == 1
+    assert lam1.records[0].flag_transitive
 
 
 def _filter_survivors(job):
