@@ -16,8 +16,11 @@ two pinned screen digests, the sha256 of the `screen_report.json` that
 representatives of the 22 pinned (group, m) pairs, the sha256 of the stored
 lattice records (least member and generators of every class, not the kept
 normalizer) of tests/test_permgroup.py::LATTICE_RECORD_HASHES, and an iso
-digest: the fingerprints of the lambda=3 and lambda=6 reference designs and
-the bijections of tests/test_iso.py::test_bijections_pinned.  The JSON written
+digest: six fingerprint fields of the lambda=3 and lambda=6 reference designs,
+read by name (v, b, k, the intersection, block-profile and stable-color
+histograms, so a checkout whose Fingerprint has more fields gives the same
+digest), and the bijections of tests/test_iso.py::test_bijections_pinned.
+`digests(checkout)` computes these outputs alone (CI runs it).  The JSON written
 to --out holds every run, the median and quartiles of each end-to-end
 metric, and in how many pairs the change was lower.
 """
@@ -51,11 +54,11 @@ TRACED_LAYERS = {
 # tests/test_permgroup.py::SUBGROUP_CLASS_HASHES, computed on one group per
 # generator file in the pinned order, so later orders reuse the stored lattice;
 # the lattice records of tests/test_permgroup.py::LATTICE_RECORD_HASHES, each
-# on a fresh group; then the fingerprints of the lambda=3 (psl33) and lambda=6
-# (pgl33) base-block designs of tests/conftest.py, and the bijections that
-# tests/test_iso.py::test_bijections_pinned pins
+# on a fresh group; then six fingerprint fields, by name, of the lambda=3
+# (psl33) and lambda=6 (pgl33) base-block designs of tests/conftest.py, and
+# the bijections that tests/test_iso.py::test_bijections_pinned pins
 _DIGESTS = """
-import dataclasses, hashlib, json, random, sys
+import hashlib, json, random, sys
 from pathlib import Path
 from designforge import data_path, design as dz, iso, permgroup as pg, screen as sc
 from designforge.cli import main
@@ -82,7 +85,9 @@ for name, orders in (("psl33", (18, 12)), ("pgl33", (36, 24))):
     records.append(sorted((d, [(least.tolist(), gens) for least, gens, *_ in recs])
                           for d, recs in G._subgroup_classes.items()))
     del G
-iso_doc = [dataclasses.astuple(iso.fingerprint(designs[n])) for n in ("psl33", "pgl33")]
+fields = ("v", "b", "k", "intersection_histogram", "block_profile_histogram",
+          "stable_color_histogram")
+iso_doc = [[getattr(iso.fingerprint(designs[n]), f) for f in fields] for n in ("psl33", "pgl33")]
 for seed, name in ((11, "fano"), (12, "psl33"), (13, "pgl33")):
     rng, D = random.Random(seed), designs[name]
     for _ in range(3):

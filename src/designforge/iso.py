@@ -29,10 +29,10 @@ share one copy, and a refinement round allocates no b x b index of its own.
   learned bijection outside G settles every pair it relates.
 * Tiers.  A design that no kept bijection settles is compared with the
   class representatives: first the intersection and block-profile
-  histograms (from the intersection matrix alone), then the full
-  fingerprint, then backtracking.  Pair signatures and colors are built
-  only for designs that reach the second tier, and each `_Precomp` lives
-  only while its design is being compared.
+  histograms (from the intersection matrix alone), then the histogram of
+  the stable colors, then backtracking.  Pair signatures and colors are
+  built only for designs that reach the second tier, and each `_Precomp`
+  lives only while its design is being compared.
 * Negative answers come only from a mismatched invariant or an exhausted
   backtracking search.  A kept bijection that finds no match decides
   nothing.
@@ -90,11 +90,8 @@ class Fingerprint:
     v: int
     b: int
     k: int
-    lam: int | None
     intersection_histogram: tuple[tuple[int, int], ...]
     block_profile_histogram: tuple[tuple[int, int], ...]
-    pair_coverage_spectrum: tuple[tuple[int, int], ...]
-    pair_signature_histogram: tuple[tuple[int, int], ...]
     stable_color_histogram: tuple[tuple[int, int], ...]
 
     def first_mismatch(self, other: Fingerprint) -> str | None:
@@ -124,7 +121,8 @@ class _Precomp:
     def meet(self) -> np.ndarray:
         """The b x b block-intersection sizes."""
         inc = self.design.incidence().astype(np.float32)
-        return (inc @ inc.T).astype(np.uint8)  # exact: entries <= k <= 255
+        # exact: entries are at most k; uint8 up to k = 255, uint16 above
+        return (inc @ inc.T).astype(np.min_scalar_type(self.design.k))
 
     @cached_property
     def meet_index(self) -> np.ndarray:
@@ -149,15 +147,17 @@ class _Precomp:
         return index
 
     @cached_property
-    def pairs(self) -> tuple[int | None, np.ndarray, np.ndarray]:
-        """(lam, C, S): the constant pair coverage (or None), the pair coverage
-        counts C[p,q] and the pair signatures S[p,q].
+    def pairs(self) -> np.ndarray:
+        """The v x v uint64 pair signatures S[p,q].
 
-        S[p,q] hashes the multiset of |B ∩ B'| over the blocks B != B'
-        through both p and q, and S[p,p] the number of blocks through p.
-        Every pair of every block is keyed once; sorting the keys groups the
-        blocks through each pair, and the pairs of one coverage count c are
-        hashed together as rows of c(c-1)/2 meets.
+        S[p,q] is 0 when no block holds both p and q, 1 when one block does
+        (outside 2-(v,k,1) designs), and otherwise hashes the multiset of
+        |B ∩ B'| over the blocks B != B' through both; S[p,p] hashes the
+        number of blocks through p.  So the pair coverage and lambda are
+        functions of S, and the stable colors, which start from S's row
+        hashes, see them.  Every pair of every block is keyed once; sorting
+        the keys groups the blocks through each pair, and the pairs of one
+        coverage count c are hashed together as rows of c(c-1)/2 meets.
         """
         D = self.design
         v = D.v
@@ -173,10 +173,7 @@ class _Precomp:
             if len(pair_keys) == math.comb(v, 2) and len(coverages) == 1
             else None
         )
-        through = np.bincount(D.array.ravel(), minlength=v)
-        cov = np.diag(through)
-        cov[ps, qs] = cov[qs, ps] = counts
-        S = np.diag(_mix(through))
+        S = np.diag(_mix(np.bincount(D.array.ravel(), minlength=v)))
         for c in coverages:
             sel = counts == c
             blks = on_block[starts[sel, None] + np.arange(c)]
@@ -187,7 +184,7 @@ class _Precomp:
                 # its signature is the constant 1, not the empty-row hash
                 hashes[:] = 1
             S[ps[sel], qs[sel]] = S[qs[sel], ps[sel]] = hashes
-        return lam, cov, S
+        return S
 
     @cached_property
     def block_histograms(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
@@ -209,7 +206,7 @@ class _Precomp:
     @cached_property
     def colors(self) -> tuple[np.ndarray, np.ndarray]:
         """The stable point and block colours from which every search starts."""
-        pc = _row_multiset_hash(self.pairs[2].view(np.int64))
+        pc = _row_multiset_hash(self.pairs.view(np.int64))
         bc = np.full(self.design.b, 2, dtype=_U64)
         return _refine(self, pc, bc)
 
@@ -217,16 +214,12 @@ class _Precomp:
     def fingerprint(self) -> Fingerprint:
         D = self.design
         intersections, profiles = self.block_histograms
-        lam, cov, sig = self.pairs
         return Fingerprint(
             v=D.v,
             b=D.b,
             k=D.k,
-            lam=lam,
             intersection_histogram=intersections,
             block_profile_histogram=profiles,
-            pair_coverage_spectrum=_histogram(cov[np.triu_indices(D.v, k=1)]),
-            pair_signature_histogram=_histogram(_row_multiset_hash(sig.view(np.int64))),
             stable_color_histogram=_histogram(np.concatenate(self.colors)),
         )
 
@@ -260,7 +253,7 @@ def _refine(pre: _Precomp, pc: np.ndarray, bc: np.ndarray) -> tuple[np.ndarray, 
     round refines the last, so the stop is the first round that splits nothing.
     """
     arr = pre.design.array
-    sig = pre.pairs[2]
+    sig = pre.pairs
     sizes = np.arange(pre.design.k + 1, dtype=_U64) * _U64(0x9DDFEA08EB382D69)
     b_vals, b_ids = np.unique(bc, return_inverse=True)
     n_p, n_b = len(np.unique(pc)), len(b_vals)

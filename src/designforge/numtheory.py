@@ -193,9 +193,8 @@ def factorize(n: int) -> dict[int, int]:
     Every key is a proven prime when it is below _MR_PROVEN_BELOW, and a
     strong probable prime to the 13 bases of `is_prime` above it.  A
     composite cofactor is split by a short Pollard-Brent run, then one
-    Pollard p-1 run, then Pollard-Brent with seeds 1.._BRENT_SEEDS; the first
-    two belong to the first of those rounds, so _BRENT_SEEDS = 0 tries nothing.
-    Raises FactorizationError when a cofactor resists them all, rather than
+    Pollard p-1 run, then Pollard-Brent with seeds 1.._BRENT_SEEDS.  Raises
+    FactorizationError when a cofactor resists them all, rather than
     returning it as a key.
     """
     if n < 1:
@@ -221,20 +220,18 @@ def factorize(n: int) -> dict[int, int]:
         if root * root == m:
             stack.extend((root, root))
             continue
-        d = m
-        if _BRENT_SEEDS > 0:
-            d = _pollard_brent(m, 1, _BRENT_SHORT_R)
-            if d == m:
-                d = _pollard_pm1(m)
+        d = _pollard_brent(m, 1, _BRENT_SHORT_R)
+        if d == m:
+            d = _pollard_pm1(m)
         for seed in range(1, _BRENT_SEEDS + 1):
             if d not in (1, m):
                 break
             d = _pollard_brent(m, seed)
         if d in (1, m):
-            tried = f"{_BRENT_SEEDS} Pollard-Brent rounds"
-            if _BRENT_SEEDS > 0:
-                tried += f" and a Pollard p-1 run to B1={_PM1_B1}, B2={_PM1_B2}"
-            raise FactorizationError(f"composite cofactor {m} of {n} not split by {tried}")
+            raise FactorizationError(
+                f"composite cofactor {m} of {n} not split by {_BRENT_SEEDS} Pollard-Brent "
+                f"rounds and a Pollard p-1 run to B1={_PM1_B1}, B2={_PM1_B2}"
+            )
         stack.extend((d, m // d))
     return factors
 

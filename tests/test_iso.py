@@ -26,22 +26,16 @@ FINGERPRINT_FIELD_SHA256 = {
         "v": "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
         "b": "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
         "k": "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce",
-        "lam": "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
         "intersection_histogram": "0658f1328c37ea317a28fa74b0f8062e2aa4b8df0ff232d31149ffc2dacd8d92",
         "block_profile_histogram": "4cdec38c065acf176847d11a2ea595a416b2e6a741a8614c1a7af428da58254c",
-        "pair_coverage_spectrum": "0658f1328c37ea317a28fa74b0f8062e2aa4b8df0ff232d31149ffc2dacd8d92",
-        "pair_signature_histogram": "0279dfe02481b06c787ce318a6db5d49a0ffe9bc4cf55e1511d425c8639ae377",
         "stable_color_histogram": "a7ecd8fd9826a394b6a4890f8c64ecddbcf219beb6040c59551f29c695295cf3",
     },
     "lambda3": {
         "v": "5ec1a0c99d428601ce42b407ae9c675e0836a8ba591c8ca6e2a2cf5563d97ff0",
         "b": "1e5ee5e58c8f490ae68e7e91b1575ebefc2bf6c211f302a553ff0c4925e85321",
         "k": "6b51d431df5d7f141cbececcf79edf3dd861c3b4069f0b11661a3eefacbba918",
-        "lam": "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce",
         "intersection_histogram": "f89bd76878f0e8336286a8445754ee6dddb643c4b8ac530506b09886df71e761",
         "block_profile_histogram": "d7714086f22dd7e8957d116ef6b1ceb20832c82569c8a6a3f161773752c4d91a",
-        "pair_coverage_spectrum": "781a636021a3619caaeda9f287809a4787a8658fb21c1924d21871d6d77d0674",
-        "pair_signature_histogram": "0c7abab500ca854131eac75e440db41e29577eeab50ba4a496f2ca6e6d8e609c",
         "stable_color_histogram": "752d7976230a3c157fdf3b892961b0cfb8b4a2eafbad5786d7ac053b2a6c98a3",
     },
 }
@@ -82,16 +76,36 @@ def test_fingerprint_separates_different_lambda(psl33, pgl33):
     assert fp1.first_mismatch(fp3) is not None
 
 
-def test_fingerprint_mismatch_skips_backtracking(psl33, pgl33, monkeypatch):
-    def no_search(*args):
-        raise AssertionError("backtracking ran on a fingerprint mismatch")
+def _no_search(*args):
+    raise AssertionError("backtracking ran on a fingerprint mismatch")
 
-    monkeypatch.setattr(iso, "_are_isomorphic", no_search)
+
+def test_fingerprint_mismatch_skips_backtracking(psl33, pgl33, monkeypatch):
+    monkeypatch.setattr(iso, "_are_isomorphic", _no_search)
     D1 = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
     D3 = dz.from_base_block(pgl33, BASE_BLOCK_LAMBDA6)
     cert = iso.are_isomorphic(D1, D3)
     assert not cert.isomorphic
     assert cert.mismatch == iso.fingerprint(D1).first_mismatch(iso.fingerprint(D3))
+
+
+# base blocks (0-based) of two non-isomorphic lambda = 12 designs of psl33
+# whose intersection and block-profile histograms agree
+BASE_BLOCKS_LAMBDA12_PAIR = (
+    (0, 1, 2, 3, 13, 20, 21, 24, 27, 32, 73, 128),
+    (0, 1, 2, 20, 28, 32, 34, 50, 64, 90, 91, 134),
+)
+
+
+def test_stable_colors_split_what_the_block_histograms_do_not(psl33, monkeypatch):
+    D1, D2 = (dz.from_base_block(psl33, base) for base in BASE_BLOCKS_LAMBDA12_PAIR)
+    assert D1.b == D2.b == 1872
+    assert dz.lambda_of(D1, 2) == dz.lambda_of(D2, 2) == 12
+    assert iso._Precomp(D1).block_histograms == iso._Precomp(D2).block_histograms
+    monkeypatch.setattr(iso, "_are_isomorphic", _no_search)
+    cert = iso.are_isomorphic(D1, D2)
+    assert not cert.isomorphic
+    assert cert.mismatch == "stable_color_histogram"
 
 
 def _random_designs(n: int, seed: int) -> list[dz.Design]:
@@ -106,8 +120,8 @@ def _random_designs(n: int, seed: int) -> list[dz.Design]:
     return out
 
 
-def _pair_signatures_by_point(D: dz.Design) -> tuple[np.ndarray, np.ndarray]:
-    """Pair coverage and pair signatures by the per-point loop that defines them."""
+def _pair_signatures_by_point(D: dz.Design) -> np.ndarray:
+    """Pair signatures by the per-point loop that defines them."""
     v = D.v
     inc = D.incidence()
     inc_f = inc.astype(np.float64)
@@ -137,17 +151,13 @@ def _pair_signatures_by_point(D: dz.Design) -> tuple[np.ndarray, np.ndarray]:
                 tri = sub[np.ix_(idx, idx)][np.triu_indices(len(idx), k=1)]
                 S[p, q] = iso._row_multiset_hash(tri[None, :])[0] if tri.size else 1
         S[p, p] = iso._mix(np.array([len(through_p)], dtype=np.uint64))[0]
-    return cov, S
+    return S
 
 
 def test_pair_signatures_match_per_point_definition(psl33):
     designs = [FANO, dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3), *_random_designs(30, 7)]
     for D in designs:
-        lam, cov, S = iso._Precomp(D).pairs
-        ref_cov, ref_S = _pair_signatures_by_point(D)
-        assert np.array_equal(cov, ref_cov)
-        assert np.array_equal(S, ref_S)
-        assert lam == dz.lambda_of(D, 2)
+        assert np.array_equal(iso._Precomp(D).pairs, _pair_signatures_by_point(D))
 
 
 def test_refine_reaches_a_fixed_point(psl33):
@@ -167,7 +177,7 @@ def _refine_by_scatter(pre: iso._Precomp, pc: np.ndarray, bc: np.ndarray):
     arr = pre.design.array
     k = pre.design.k
     meet = pre.meet.astype(np.intp)
-    sig = pre.pairs[2]
+    sig = pre.pairs
     sizes = np.arange(k + 1, dtype=U64) * U64(0x9DDFEA08EB382D69)
     b_vals, b_ids = np.unique(bc, return_inverse=True)
     n_p, n_b = len(np.unique(pc)), len(b_vals)
@@ -216,7 +226,7 @@ def test_refine_matches_scatter_oracle(psl33, pgl33):
         pre = iso._Precomp(D)
         pc, bc = pre.colors
         # where `_Precomp.colors` starts, its result, and one point individualized
-        first = (iso._row_multiset_hash(pre.pairs[2].view(np.int64)), np.full(D.b, 2, np.uint64))
+        first = (iso._row_multiset_hash(pre.pairs.view(np.int64)), np.full(D.b, 2, np.uint64))
         starts = [first, (pc, bc)]
         npc = _individualized(pc)
         if npc is not None:
@@ -316,6 +326,11 @@ def test_hash_rows_longer_than_the_weight_table():
     assert D.relabel(cert.bijection) == reversed_D
     # a longer draw extends the table, so rows of <= 4096 entries hash as before
     assert (iso._weights(5000)[:4096] == iso._RNG_WEIGHTS).all()
+
+
+def test_intersections_of_blocks_longer_than_255():
+    D = dz.Design(300, [range(0, 256), range(1, 257), range(40, 296)])
+    assert iso.fingerprint(D).intersection_histogram == ((216, 1), (217, 1), (255, 1))
 
 
 def test_mismatched_vk_rejected():

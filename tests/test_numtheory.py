@@ -35,7 +35,8 @@ def test_factorize_roundtrip():
 def test_factorize_raises_when_effort_runs_out(monkeypatch):
     n = 1000003 * 1000033
     with monkeypatch.context() as m:
-        m.setattr(nt, "_BRENT_SEEDS", 0)
+        m.setattr(nt, "_pollard_brent", lambda n, seed=1, max_r=0: n)
+        m.setattr(nt, "_pollard_pm1", lambda n: n)
         with pytest.raises(nt.FactorizationError):
             nt.factorize(n)
     assert issubclass(nt.FactorizationError, ArithmeticError)
@@ -68,17 +69,16 @@ def test_pollard_pm1_fails_and_rho_still_splits():
 
 
 def test_factorization_error_names_what_ran(monkeypatch):
-    monkeypatch.setattr(nt, "_BRENT_SEEDS", 0)
-    with pytest.raises(nt.FactorizationError, match=r"by 0 Pollard-Brent rounds$"):
-        nt.factorize(1000003 * 1000033)
-    # with rho disabled, p-1 alone meets a number it cannot split
-    monkeypatch.setattr(nt, "_BRENT_SEEDS", 2)
+    message = r"by 8 Pollard-Brent rounds and a Pollard p-1 run to B1=50000, B2=2000000$"
+    pm1 = nt._pollard_pm1
     monkeypatch.setattr(nt, "_pollard_brent", lambda n, seed=1, max_r=0: n)
-    with pytest.raises(nt.FactorizationError) as err:
+    monkeypatch.setattr(nt, "_pollard_pm1", lambda n: n)
+    with pytest.raises(nt.FactorizationError, match=message):
+        nt.factorize(1000003 * 1000033)
+    # with rho disabled, the real p-1 run meets a number it cannot split
+    monkeypatch.setattr(nt, "_pollard_pm1", pm1)
+    with pytest.raises(nt.FactorizationError, match=message):
         nt.factorize(1000000007 * 2000000579)
-    assert str(err.value).endswith(
-        "by 2 Pollard-Brent rounds and a Pollard p-1 run to B1=50000, B2=2000000"
-    )
 
 
 def test_pm1_tables_not_built_at_import():
