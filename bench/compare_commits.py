@@ -4,25 +4,28 @@
         --out BENCH_name.json --pairs 10 --seconds 10
 
 PARENT_DIR and CHANGE_DIR are two source checkouts (for example two
-`git clone`s), each with its own perfbench/.  For every workload and pair i
-the script runs `perfbench/run.py --trace 0` with seed SEED0 + i in both
-checkouts, the parent first on even i and the change first on odd i, so a
-slow drift of the machine falls on both sides.  It then runs one traced pair
-per workload, and one untraced `psl33-lambda12` run with --seconds 1 per
-checkout, a by-hand record of that workload's wall_s and peak_rss_mb (it is
-not in BENCHMARK.json and not run in pairs).  In each checkout it records the
-two pinned screen digests, the sha256 of the `screen_report.json` that
+`git clone`s), each with its own perfbench/.  The workloads and end-to-end
+metrics are those that CHANGE_DIR/BENCHMARK.json declares.  For every workload and
+pair i the script runs `perfbench/run.py --trace 0` with seed SEED0 + i in
+both checkouts, the parent first on even i and the change first on odd i, so
+a slow drift of the machine falls on both sides.  It then runs one traced
+pair per workload that TRACED_LAYERS lists (a workload it does not list
+records no layers), and one untraced `psl33-lambda12` run with --seconds 1
+per checkout, a by-hand record of that workload's wall_s and peak_rss_mb (it
+is not in BENCHMARK.json and not run in pairs).  In each checkout it records
+the two pinned screen digests, the sha256 of the `screen_report.json` that
 `designforge screen --family all` writes, the sha256 of the subgroup class
 representatives of the 22 pinned (group, m) pairs, the sha256 of the stored
 lattice records (least member and generators of every class, not the kept
 normalizer) of tests/test_permgroup.py::LATTICE_RECORD_HASHES, and an iso
-digest: six fingerprint fields of the lambda=3 and lambda=6 reference designs,
-read by name (v, b, k, the intersection, block-profile and stable-color
-histograms, so a checkout whose Fingerprint has more fields gives the same
-digest), and the bijections of tests/test_iso.py::test_bijections_pinned.
-`digests(checkout)` computes these outputs alone (CI runs it).  The JSON written
-to --out holds every run, the median and quartiles of each end-to-end
-metric, and in how many pairs the change was lower.
+digest: six fingerprint fields of the lambda=3 and lambda=6 reference
+designs, read by name (v, b, k, the intersection, block-profile and
+stable-color histograms, so a checkout whose Fingerprint has more fields
+gives the same digest), and the bijections of
+tests/test_iso.py::test_bijections_pinned.  `digests(checkout)` computes
+these outputs alone (CI runs it).  The JSON written to --out holds every run,
+the median and quartiles of each end-to-end metric, and in how many pairs the
+change was lower.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("screen-all", "psl33-small-lambda")
-END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 TRACED_LAYERS = {
     "screen-all": ("numtheory.factorize_s", "numtheory.factorize_calls",
                    "screen.case_screen_s"),
@@ -140,9 +141,9 @@ def quartiles(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4), "n": len(values)}
 
 
-def summarize(pairs: list[dict]) -> dict:
+def summarize(pairs: list[dict], metrics: list[str]) -> dict:
     out = {}
-    for metric in END_TO_END:
+    for metric in metrics:
         parent = [p["parent"][metric] for p in pairs]
         change = [p["change"][metric] for p in pairs]
         lower = sum(c < p for p, c in zip(parent, change))
@@ -165,6 +166,9 @@ def main() -> int:
     ap.add_argument("--what", default="", help="one line saying what the change is")
     args = ap.parse_args()
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    end_to_end = [m["name"] for m in spec["end_to_end"]]
 
     doc: dict = {
         "what": args.what,
@@ -177,7 +181,7 @@ def main() -> int:
         },
     }
     runs: dict[str, list[dict]] = {}
-    for workload in WORKLOADS:
+    for workload in workloads:
         runs[workload] = []
         for i in range(args.pairs):
             seed = args.seed0 + i
@@ -187,13 +191,13 @@ def main() -> int:
                 pair[side] = run_bench(sides[side], workload, seed, args.seconds, 0)
             runs[workload].append(pair)
             print(workload, seed, {s: pair[s]["wall_s"] for s in order}, file=sys.stderr)
-    doc["pairs"]["summary"] = {w: summarize(runs[w]) for w in WORKLOADS}
+    doc["pairs"]["summary"] = {w: summarize(runs[w], end_to_end) for w in workloads}
     doc["pairs"]["all_correct"] = all(
         p[s]["correct"] and p[s]["failed"] == 0
-        for w in WORKLOADS for p in runs[w] for s in sides)
+        for w in workloads for p in runs[w] for s in sides)
     doc["pairs"]["runs"] = runs
 
-    for workload in WORKLOADS:
+    for workload in (w for w in workloads if w in TRACED_LAYERS):
         traced = {side: run_bench(path, workload, args.seed0, args.seconds, 1)
                   for side, path in sides.items()}
         doc[f"{workload} traced"] = {

@@ -28,7 +28,7 @@ from .design import (
 from .iso import iso_classes
 from .numtheory import FactorizationError
 from .permgroup import CapExceededError, CycleFormatError, DEFAULT_CAP, GroupTable, set_stabilizer
-from .screen import FAMILIES, NonDivisibleError, ScreenError, case_screen, survivors
+from .screen import FAMILIES, NonDivisibleError, ScreenError, case_screen
 from .search import CandidateExplosionError, SearchJob, full_sweep, run as run_search
 
 EXIT_OK = 0
@@ -94,7 +94,7 @@ def _cmd_screen(args: argparse.Namespace) -> int:
     started = time.time()
     fams = None if args.family == "all" else _family_selector(args.family)
     reports = case_screen(fams, n_filter=args.n, q_filter=args.q)
-    surv = survivors(reports)
+    surv = [r for r in reports if r.survived]
     by_family: dict[str, int] = {}
     for r in reports:
         by_family[r.case.family] = by_family.get(r.case.family, 0) + 1

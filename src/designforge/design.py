@@ -183,11 +183,12 @@ def design_to_dict(D: Design, meta: Mapping[str, object] | None = None) -> dict:
 
 def load_design(path: str | Path) -> tuple[Design, dict]:
     doc = json.loads(Path(path).read_text())
+    # type() is int, not isinstance: JSON true and false are bools, a subclass of int
     if not (
         isinstance(doc, dict)
-        and isinstance(doc.get("v"), int)
+        and type(doc.get("v")) is int
         and isinstance(doc.get("blocks"), list)
-        and all(isinstance(blk, list) and all(isinstance(p, int) for p in blk)
+        and all(isinstance(blk, list) and all(type(p) is int for p in blk)
                 for blk in doc["blocks"])
     ):
         raise ValueError(
@@ -195,4 +196,7 @@ def load_design(path: str | Path) -> tuple[Design, dict]:
             "'blocks', a list of lists of integers"
         )
     design = Design(doc["v"], [[p - 1 for p in blk] for blk in doc["blocks"]])
+    # a Design is a set of blocks: a repeat would vanish and change b unseen
+    if design.b != len(doc["blocks"]):
+        raise ValueError(f"{path}: {len(doc['blocks']) - design.b} repeated block(s)")
     return design, doc.get("meta", {})

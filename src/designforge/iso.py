@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 import numpy as np
@@ -52,15 +52,15 @@ from .design import Design, order_key
 _U64 = np.uint64
 
 
+@cache
 def _weights(n: int) -> np.ndarray:
-    """n odd uint64 hash weights from one seeded draw; a longer draw starts
-    with the same values, so a row's hash does not depend on the table size."""
-    return np.random.default_rng(0x5EED5EED).integers(
+    """n odd uint64 hash weights from one seeded draw, read-only; a longer draw
+    starts with the same values, so a row's hash depends only on the row."""
+    w = np.random.default_rng(0x5EED5EED).integers(
         1, np.iinfo(np.int64).max, size=n, dtype=np.int64
     ).astype(_U64) | _U64(1)
-
-
-_RNG_WEIGHTS = _weights(4096)
+    w.flags.writeable = False
+    return w
 
 
 def _mix(arr: np.ndarray) -> np.ndarray:
@@ -78,9 +78,7 @@ def _mix(arr: np.ndarray) -> np.ndarray:
 def _row_multiset_hash(rows: np.ndarray) -> np.ndarray:
     """Order-insensitive 64-bit hash of each row (sorted dot with fixed weights)."""
     srt = np.sort(rows, axis=1).astype(_U64)
-    n = srt.shape[1]
-    w = _RNG_WEIGHTS[:n] if n <= len(_RNG_WEIGHTS) else _weights(n)
-    return _mix((srt * w[None, :]).sum(axis=1))
+    return _mix((srt * _weights(srt.shape[1])[None, :]).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -324,7 +322,7 @@ def _search(
         npc1[p1] = fresh
         npc2 = pc2.copy()
         npc2[int(p2)] = fresh
-        found = _search(pre1, pre2, npc1, bc1.copy(), npc2, bc2.copy(), depth + 1)
+        found = _search(pre1, pre2, npc1, bc1, npc2, bc2, depth + 1)
         if found is not None:
             return found
     return None
@@ -356,8 +354,9 @@ def iso_classes(designs: list[Design]) -> list[list[int]]:
     identity or a kept bijection maps it onto a block set already visited;
     otherwise it goes through the tiers against the class representatives
     (see the module docstring), and starts a new class if none matches.
-    Classes are ordered by the lexicographically least canonical block set
-    they contain; the partition is independent of the input order.
+    Each class lists its members in ascending input order, and classes are
+    ordered by the lexicographically least canonical block set they contain;
+    the partition is independent of the input order.
     """
     label: list[int] = []  # label[i]: the first design of design i's class
     visited: dict[Design, int] = {}
@@ -395,8 +394,3 @@ def iso_classes(designs: list[Design]) -> list[list[int]]:
     for i, first in enumerate(label):
         classes.setdefault(first, []).append(i)
     return sorted(classes.values(), key=lambda cls: min(order_key(designs[i]) for i in cls))
-
-
-def class_representatives(designs: list[Design], classes: list[list[int]]) -> list[int]:
-    """Index of the lexicographically least design in each class."""
-    return [min(cls, key=lambda i: order_key(designs[i])) for cls in classes]

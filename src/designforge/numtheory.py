@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import compress, pairwise
 from typing import Iterable
 
@@ -15,9 +16,6 @@ from typing import Iterable
 # number that passes is a strong probable prime to these bases, not proven.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
-
-_SMALL_PRIME_LIMIT = 1000
-_small_primes: list[int] = []
 
 # Splitting a composite cofactor: a short Brent run (cycle length up to
 # _BRENT_SHORT_R), then one Pollard p-1 run with these bounds, then full Brent
@@ -31,11 +29,6 @@ _BRENT_MAX_R = 1 << 22
 _PM1_B1 = 50_000
 _PM1_B2 = 2_000_000
 _PM1_BLOCK = 1024
-# Built on the first p-1 call: [E, p0, half_gaps, max(half_gaps)], where E is
-# the product of the prime powers <= B1, p0 the largest prime <= B1, and
-# half_gaps[i] half the gap from the i-th to the (i+1)-th prime in p0,
-# next_prime(p0), ..., <= B2.
-_pm1_tables: list = []
 
 
 class FactorizationError(ArithmeticError):
@@ -62,10 +55,7 @@ def _primes_up_to(limit: int) -> list[int]:
     return [2, *compress(range(1, limit + 1, 2), _odd_sieve(limit))]
 
 
-def _sieve_small() -> list[int]:
-    if not _small_primes:
-        _small_primes.extend(_primes_up_to(_SMALL_PRIME_LIMIT - 1))
-    return _small_primes
+_SMALL_PRIMES = tuple(_primes_up_to(1000))
 
 
 def is_prime(n: int) -> bool:
@@ -77,7 +67,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in _sieve_small():
+    for p in _SMALL_PRIMES:
         if n == p:
             return True
         if n % p == 0:
@@ -135,22 +125,24 @@ def _pollard_brent(n: int, seed: int = 1, max_r: int = _BRENT_MAX_R) -> int:
     return g
 
 
-def _pm1_setup() -> list:
-    """Build the p-1 tables once, from an odd-only sieve up to B2."""
-    if not _pm1_tables:
-        sieve = _odd_sieve(_PM1_B2)
-        exponent = 1 << (_PM1_B1.bit_length() - 1)
-        p0 = 2
-        for p in compress(range(1, _PM1_B1 + 1, 2), sieve[: (_PM1_B1 + 1) // 2]):
-            power = p
-            while power * p <= _PM1_B1:
-                power *= p
-            exponent *= power
-            p0 = p
-        stage2 = compress(range(p0, _PM1_B2 + 1, 2), memoryview(sieve)[p0 // 2 :])
-        half_gaps = bytes((b - a) // 2 for a, b in pairwise(stage2))
-        _pm1_tables.extend((exponent, p0, half_gaps, max(half_gaps)))
-    return _pm1_tables
+@cache
+def _pm1_tables() -> tuple[int, int, bytes, int]:
+    """(E, p0, half_gaps, max(half_gaps)), built on the first p-1 run from an
+    odd-only sieve up to B2: E is the product of the prime powers <= B1, p0
+    the largest prime <= B1, and half_gaps[i] half the gap from the i-th to
+    the (i+1)-th prime in p0, next_prime(p0), ..., <= B2."""
+    sieve = _odd_sieve(_PM1_B2)
+    exponent = 1 << (_PM1_B1.bit_length() - 1)
+    p0 = 2
+    for p in compress(range(1, _PM1_B1 + 1, 2), sieve[: (_PM1_B1 + 1) // 2]):
+        power = p
+        while power * p <= _PM1_B1:
+            power *= p
+        exponent *= power
+        p0 = p
+    stage2 = compress(range(p0, _PM1_B2 + 1, 2), memoryview(sieve)[p0 // 2 :])
+    half_gaps = bytes((b - a) // 2 for a, b in pairwise(stage2))
+    return exponent, p0, half_gaps, max(half_gaps)
 
 
 def _pollard_pm1(n: int) -> int:
@@ -159,7 +151,7 @@ def _pollard_pm1(n: int) -> int:
     Stage 1 finds p | n when every prime power in p - 1 is <= B1; stage 2
     also finds it when p - 1 has one more prime in (B1, B2].
     """
-    exponent, p0, half_gaps, max_half_gap = _pm1_setup()
+    exponent, p0, half_gaps, max_half_gap = _pm1_tables()
     x = pow(2, exponent, n)
     g = math.gcd(x - 1, n)
     if g != 1:
@@ -202,7 +194,7 @@ def factorize(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
     if n == 1:
         return factors
-    for p in _sieve_small():
+    for p in _SMALL_PRIMES:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
@@ -282,17 +274,6 @@ def format_factorization(factors: dict[int, int]) -> str:
     if not factors:
         return "1"
     return "·".join(f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items()))
-
-
-def factorization_string(n: int | Fraction) -> str:
-    """Render n like the classical tables: "2^4·3^2", fractions as num/den."""
-    if isinstance(n, Fraction):
-        if n.denominator == 1:
-            return factorization_string(n.numerator)
-        return f"{factorization_string(n.numerator)}/{factorization_string(n.denominator)}"
-    if n == 0:
-        return "0"
-    return format_factorization(factorize(n))
 
 
 def parse_factorization(text: str) -> Fraction:

@@ -383,10 +383,6 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent!r})"
 
 
-def trivial_subgroup(G: GroupTable) -> Subgroup:
-    return Subgroup(G, (0,))
-
-
 def sorted_rows(a: np.ndarray) -> np.ndarray:
     """The package's one canonical order for point sets (rows of `a`): each row
     sorted, rows in lexicographic order, repeats dropped.  Returns a new array.
@@ -592,7 +588,7 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
         warnings.warn(f"m={m} does not divide the group order {G.order}; no subgroups")
         return []
     if m == 1:
-        return [trivial_subgroup(G)]
+        return [Subgroup(G, (0,))]
     known = G._subgroup_classes
     if m not in known:
         known.update(_new_subgroup_classes(G, m))

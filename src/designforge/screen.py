@@ -860,11 +860,8 @@ def default_cases(family: str) -> list[tuple[CaseSpec, list[str], tuple[str, int
                 if x_order(n, q) <= h0:
                     continue
                 notes = [f"named subgroup {name}, stated condition: {cond}"]
-                pub = None
-                if n == 3 and name == "PSL(2,7)" and q in PUBLISHED_V["S:n=3,PSL(2,7)"]:
-                    pub = ("S:n=3,PSL(2,7)", q)
-                if n == 3 and name == "A6" and q in PUBLISHED_V["S:n=3,A6"]:
-                    pub = ("S:n=3,A6", q)
+                key = f"S:n={n},{name}"
+                pub = (key, q) if q in PUBLISHED_V.get(key, ()) else None
                 if n >= 5 and not (name in ("M11", "M12") and q == 3):
                     notes.append(
                         "large-dimension sporadic candidates are eliminated by the "
@@ -955,7 +952,3 @@ def _adhoc_cases(family: str, n: int, q: int) -> list[CaseSpec]:
         if f % 2 == 0:
             out = [_case("C8u", n, q, q0=p ** (f // 2))]
     return out
-
-
-def survivors(reports: Sequence[ScreenReport]) -> list[ScreenReport]:
-    return [r for r in reports if r.survived]

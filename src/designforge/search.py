@@ -15,7 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .design import Design, is_flag_transitive, lambda_of, order_key
-from .iso import class_representatives, iso_classes
+from .iso import iso_classes
 from .permgroup import (
     GroupTable,
     Subgroup,
@@ -201,11 +201,12 @@ def run(job: SearchJob) -> SearchResult:
                 D = Design(G.degree, orbit)
                 if lambda_of(D, 2) == job.lam:
                     designs.append(D)
+    # sorted, so each class's first member (classes keep input order) is its least
     designs.sort(key=order_key)
-    reps = class_representatives(designs, iso_classes(designs)) if designs else []
+    classes = iso_classes(designs) if designs else []
     records = [
         DesignRecord(D, set_stabilizer(G, D.array[0]).order, is_flag_transitive(G, D))
-        for D in (designs[i] for i in reps)
+        for D in (designs[cls[0]] for cls in classes)
     ]
     return SearchResult(job, records, distinct_block_sets=len(designs), candidates_tested=tested)
 

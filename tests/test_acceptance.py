@@ -257,7 +257,7 @@ def test_criterion_4_sweep(pgl33, pgl_sweep):
 
 def test_criterion_5_screen_survivors(screen_reports):
     reports, elapsed = screen_reports
-    surv = sc.survivors(reports)
+    surv = [r for r in reports if r.survived]
     got = sorted((r.case.n, r.case.q.q, r.v, r.candidate_k) for r in surv)
     assert got == [(3, 3, 144, 12), (4, 7, 400, 20), (5, 3, 121, 11)]
     # every base printed in a factorization is prime ("0" and "1" have none)

@@ -250,6 +250,38 @@ def test_iso_malformed_design_file(tmp_path, capsys, doc):
     assert str(path) in capsys.readouterr().err
 
 
+FANO_BLOCKS = [[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [5, 6, 1], [6, 7, 2], [7, 1, 3]]
+
+
+@pytest.fixture()
+def z7_gens(tmp_path) -> Path:
+    path = tmp_path / "z7.gens"
+    path.write_text("degree: 7\n(1,2,3,4,5,6,7)\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"v": 7, "blocks": FANO_BLOCKS + [[1, 2, 4]]}, "1 repeated block(s)"),
+        ({"v": 7, "blocks": FANO_BLOCKS[:6] + [[7, True, 3]]}, "list of lists of integers"),
+        ({"v": True, "blocks": [[1]]}, "list of lists of integers"),
+    ],
+    ids=["repeated-block", "bool-point", "bool-v"],
+)
+def test_verify_and_iso_reject_a_design_file(tmp_path, capsys, z7_gens, doc, message):
+    fano, bad = tmp_path / "fano.json", tmp_path / "bad.json"
+    fano.write_text(json.dumps({"v": 7, "blocks": FANO_BLOCKS}))
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--gens", str(z7_gens), "--design", str(fano)]) == cli.EXIT_OK
+    assert "certified 2-(7,3,1) design" in capsys.readouterr().out
+    rc = cli.main(["verify", "--gens", str(z7_gens), "--design", str(bad)])
+    assert rc == cli.EXIT_PRECONDITION
+    assert f"error: {bad}: " in capsys.readouterr().err
+    assert cli.main(["iso", "--in", str(fano), str(bad)]) == cli.EXIT_PRECONDITION
+    assert message in capsys.readouterr().err
+
+
 def test_search_gens_directory(tmp_path, capsys):
     rc = cli.main(["search", "--gens", str(tmp_path), "--k", "2", "--lambda", "1"])
     assert rc == cli.EXIT_PRECONDITION

@@ -212,7 +212,7 @@ def test_orbits_transitive(psl33):
 
 
 def test_orbits_identity_subgroup(psl33):
-    singletons = pg.orbits(pg.trivial_subgroup(psl33))
+    singletons = pg.orbits(pg.Subgroup(psl33, (0,)))
     assert len(singletons) == 144
     assert all(len(o) == 1 for o in singletons)
 

@@ -282,7 +282,7 @@ def all_reports(screen_reports):
 
 
 def test_screen_survivors_exactly_three(all_reports):
-    surv = sc.survivors(all_reports)
+    surv = [r for r in all_reports if r.survived]
     got = sorted((r.case.n, r.case.q.q, r.v, r.candidate_k) for r in surv)
     assert got == [(3, 3, 144, 12), (4, 7, 400, 20), (5, 3, 121, 11)]
 
@@ -330,7 +330,7 @@ def test_adhoc_case_factored_over_cyclotomic_values():
     assert [r.case.get("i") for r in reports] == [1, 2, 3, 4, 5, 6]
     for r in reports:
         assert "outside the default ranges; exploratory" in r.notes
-        assert r.v_factorization == nt.factorization_string(r.v)
+        assert r.v_factorization == nt.format_factorization(nt.factorize(r.v))
         assert nt.parse_factorization(r.v_factorization) == r.v
     assert reports[0].v_factorization == "8191"
     assert reports[1].v_factorization == "3·5·7·13·8191"
@@ -345,7 +345,7 @@ def test_screen_reports_pinned(all_reports):
 
 
 def test_screen_survivor_p_coprime(all_reports):
-    for r in sc.survivors(all_reports):
+    for r in [r for r in all_reports if r.survived]:
         if r.case.family != "C1":
             assert math.gcd(r.case.q.p, r.v - 1) == 1
 

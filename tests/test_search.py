@@ -43,7 +43,7 @@ def _candidates(H, k):
 
 
 def test_orbit_union_trivial_subgroup(sym4):
-    triv = pg.trivial_subgroup(sym4)
+    triv = pg.Subgroup(sym4, (0,))
     cands = _candidates(triv, 2)
     assert len(cands) == 6
     assert cands == sorted(set(cands))
@@ -164,6 +164,21 @@ def test_psl_lambda3_unique_design(psl33, psl_lambda3):
     cert = iso.are_isomorphic(res.designs[0], reference)
     assert cert.isomorphic
     assert res.designs[0].relabel(cert.bijection) == reference
+
+
+def test_record_is_the_least_design_of_its_class(psl33, monkeypatch):
+    # the designs reach iso_classes sorted, and a class lists its members in
+    # input order, so the record taken from each class's first member is its
+    # least design
+    from designforge import iso
+
+    seen = []
+    monkeypatch.setattr(sr, "iso_classes", lambda ds: seen.append(ds) or iso.iso_classes(ds))
+    res = sr.run(sr.SearchJob(psl33, 12, 3))
+    [designs] = seen
+    assert len(designs) == 2 and iso.are_isomorphic(*designs).isomorphic
+    assert res.designs == [min(designs, key=dz.order_key)]
+    assert iso.iso_classes(designs[::-1]) == [[0, 1]]
 
 
 def test_psl_lambda3_flags(psl_lambda3):
