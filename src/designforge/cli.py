@@ -17,19 +17,14 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .design import (
-    design_to_dict,
-    from_base_block,
-    is_block_transitive,
-    is_flag_transitive,
-    lambda_of,
-    load_design,
+from .errors import (
+    CandidateExplosionError,
+    CapExceededError,
+    FactorizationError,
+    NonDivisibleError,
+    ScreenError,
 )
-from .iso import iso_classes
-from .numtheory import FactorizationError
-from .permgroup import CapExceededError, CycleFormatError, DEFAULT_CAP, GroupTable, set_stabilizer
-from .screen import FAMILIES, NonDivisibleError, ScreenError, case_screen
-from .search import CandidateExplosionError, SearchJob, full_sweep, run as run_search
+from .screen import FAMILIES, case_screen
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -40,13 +35,18 @@ CAP_ENV = "DESIGNFORGE_CAP"
 
 
 def _cap_from_env() -> int:
+    from .permgroup import DEFAULT_CAP
+
     raw = os.environ.get(CAP_ENV)
     if raw is None:
         return DEFAULT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"{CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _dump_json(path: Path, doc: object) -> None:
@@ -87,7 +87,8 @@ def _parse_points(text: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: only `screen` runs without numpy, so the others import the
+# group stack when they run
 
 
 def _cmd_screen(args: argparse.Namespace) -> int:
@@ -129,6 +130,10 @@ def _family_selector(name: str) -> list[str]:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .design import design_to_dict
+    from .permgroup import GroupTable
+    from .search import SearchJob, full_sweep, run as run_search
+
     started = time.time()
     gens_path = Path(args.gens)
     group = GroupTable.from_file(gens_path, cap=_cap_from_env())
@@ -183,6 +188,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .design import (
+        from_base_block,
+        is_block_transitive,
+        is_flag_transitive,
+        lambda_of,
+        load_design,
+    )
+    from .permgroup import GroupTable, set_stabilizer
+
     started = time.time()
     cap = _cap_from_env()
     gens_path = Path(args.gens)
@@ -234,6 +248,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
+    from .design import load_design
+    from .iso import iso_classes
+
     started = time.time()
     designs = []
     paths = [Path(p) for p in args.inputs]
@@ -314,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonDivisibleError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ScreenError, CycleFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ScreenError and CycleFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

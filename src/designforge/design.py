@@ -199,4 +199,6 @@ def load_design(path: str | Path) -> tuple[Design, dict]:
     # a Design is a set of blocks: a repeat would vanish and change b unseen
     if design.b != len(doc["blocks"]):
         raise ValueError(f"{path}: {len(doc['blocks']) - design.b} repeated block(s)")
+    if "k" in doc and (type(doc["k"]) is not int or doc["k"] != design.k):
+        raise ValueError(f"{path}: 'k' is {doc['k']!r}, but the blocks have {design.k} points")
     return design, doc.get("meta", {})

@@ -11,6 +11,8 @@ from functools import cache
 from itertools import compress, pairwise
 from typing import Iterable
 
+from .errors import FactorizationError
+
 # The first 13 primes as Miller-Rabin bases prove primality for every n below
 # _MR_PROVEN_BELOW (Sorenson & Webster, Math. Comp. 86, 2017); above it, a
 # number that passes is a strong probable prime to these bases, not proven.
@@ -29,10 +31,6 @@ _BRENT_MAX_R = 1 << 22
 _PM1_B1 = 50_000
 _PM1_B2 = 2_000_000
 _PM1_BLOCK = 1024
-
-
-class FactorizationError(ArithmeticError):
-    """A composite cofactor resisted every splitting attempt allowed."""
 
 
 def _odd_sieve(limit: int) -> bytearray:

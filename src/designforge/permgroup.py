@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import CapExceededError
 from .numtheory import factorize
 
 DEFAULT_CAP = 10_000_000
@@ -30,10 +31,6 @@ _MAX_DEGREE = 1 << 16
 # a stored subgroup class: least member H, generators of H, N_G(H) as sorted
 # uint16 indices
 _ClassRecord = tuple[np.ndarray, tuple[int, ...], np.ndarray]
-
-
-class CapExceededError(RuntimeError):
-    """Group closure grew past the configured enumeration cap."""
 
 
 class CycleFormatError(ValueError):

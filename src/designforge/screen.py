@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import NonDivisibleError, ScreenError
 from .numtheory import (
     cyclotomic_values,
     divisors,
@@ -46,14 +47,6 @@ PASS, FAIL, NA = "pass", "fail", "na"
 
 _N_SOFT_CAP = 12
 _Q_SOFT_CAP = 1 << 10
-
-
-class ScreenError(ValueError):
-    pass
-
-
-class NonDivisibleError(ScreenError):
-    """|H0| does not divide |X|: the case is structurally vacuous."""
 
 
 # ---------------------------------------------------------------------------

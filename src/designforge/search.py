@@ -15,6 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .design import Design, is_flag_transitive, lambda_of, order_key
+from .errors import CandidateExplosionError
 from .iso import iso_classes
 from .permgroup import (
     GroupTable,
@@ -29,10 +30,6 @@ from .permgroup import (
 
 MAX_CANDIDATES = 1_000_000
 _CHUNK = 16384
-
-
-class CandidateExplosionError(RuntimeError):
-    """A subgroup class yields more orbit-union candidates than the guard allows."""
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from designforge import cli, data_path
 from designforge import numtheory as nt
+from designforge import screen as sc
+from designforge import search as sr
 
 
 @pytest.fixture()
@@ -59,6 +64,36 @@ def test_screen_factorization_effort_exhausted(monkeypatch):
 
     monkeypatch.setattr(cli, "case_screen", exhausted)
     assert cli.main(["screen", "--family", "C3"]) == cli.EXIT_CAP
+
+
+def test_screen_non_divisible_is_internal(monkeypatch, capsys):
+    def vacuous(*args, **kwargs):
+        raise sc.NonDivisibleError("C3(n=3,q=3): stabilizer order formula not integral")
+
+    monkeypatch.setattr(cli, "case_screen", vacuous)
+    assert cli.main(["screen", "--family", "C3"]) == cli.EXIT_INTERNAL
+    assert "internal consistency failure: C3(n=3,q=3)" in capsys.readouterr().err
+
+
+def test_screen_runs_without_the_group_stack():
+    # the screen path is integer arithmetic: numpy and the group modules stay unloaded
+    src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ["numpy", "designforge.permgroup", "designforge.search", "designforge.iso",
+             "designforge.design"]
+    code = (
+        "import sys; from designforge import cli; "
+        "rc = cli.main(['screen', '--family', 'C3', '--n', '3', '--q', '3']); "
+        f"print(rc, sorted(set({heavy!r}) & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_screen_writes_report(tmp_path, capsys):
@@ -152,6 +187,21 @@ def test_search_out_dir_without_designs(tmp_path, s4_gens, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == [str(out / "search_summary_k2.json")]
     assert manifest["inputs"] == {str(s4_gens): hashlib.sha256(s4_gens.read_bytes()).hexdigest()}
+
+
+def test_search_candidate_explosion(monkeypatch, capsys, s4_gens):
+    monkeypatch.setattr(sr, "MAX_CANDIDATES", 0)
+    rc = cli.main(["search", "--gens", str(s4_gens), "--k", "2", "--lambda", "2"])
+    assert rc == cli.EXIT_CAP
+    assert "candidates for one subgroup class exceed the 0 guard" in capsys.readouterr().err
+
+
+def test_search_malformed_cycle(tmp_path, capsys):
+    path = tmp_path / "bad.gens"
+    path.write_text("degree: 4\n(1,2\n")
+    rc = cli.main(["search", "--gens", str(path), "--k", "2", "--lambda", "1"])
+    assert rc == cli.EXIT_PRECONDITION
+    assert "error: unbalanced or stray characters: '(1,2'" in capsys.readouterr().err
 
 
 def test_search_cap_env(monkeypatch, capsys):
@@ -266,8 +316,10 @@ def z7_gens(tmp_path) -> Path:
         ({"v": 7, "blocks": FANO_BLOCKS + [[1, 2, 4]]}, "1 repeated block(s)"),
         ({"v": 7, "blocks": FANO_BLOCKS[:6] + [[7, True, 3]]}, "list of lists of integers"),
         ({"v": True, "blocks": [[1]]}, "list of lists of integers"),
+        ({"v": 7, "k": 5, "blocks": FANO_BLOCKS}, "'k' is 5, but the blocks have 3 points"),
+        ({"v": 7, "k": True, "blocks": FANO_BLOCKS}, "'k' is True, but the blocks have 3 points"),
     ],
-    ids=["repeated-block", "bool-point", "bool-v"],
+    ids=["repeated-block", "bool-point", "bool-v", "wrong-k", "bool-k"],
 )
 def test_verify_and_iso_reject_a_design_file(tmp_path, capsys, z7_gens, doc, message):
     fano, bad = tmp_path / "fano.json", tmp_path / "bad.json"
@@ -292,3 +344,11 @@ def test_cap_env_not_an_integer(monkeypatch, capsys, s4_gens):
     rc = cli.main(["search", "--gens", str(s4_gens), "--k", "2", "--lambda", "1"])
     assert rc == cli.EXIT_PRECONDITION
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_env_not_positive(monkeypatch, capsys, s4_gens, cap):
+    monkeypatch.setenv(cli.CAP_ENV, cap)
+    rc = cli.main(["search", "--gens", str(s4_gens), "--k", "2", "--lambda", "1"])
+    assert rc == cli.EXIT_PRECONDITION
+    assert "must be a positive integer" in capsys.readouterr().err
