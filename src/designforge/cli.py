@@ -227,7 +227,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "nontrivial": t < design.k < design.v,
         "block_transitive": block_trans,
         "flag_transitive": flag_trans,
-        "block_stabilizer_order": set_stabilizer(group, design.blocks[0]).order,
+        "block_stabilizer_order": set_stabilizer(group, design.array[0]).order,
         "tool_version": __version__,
     }
     certified = lam_t is not None

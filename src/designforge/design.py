@@ -152,7 +152,7 @@ def is_block_transitive(G: GroupTable, D: Design) -> bool:
     """True iff the block set is a single orbit of G."""
     if G.degree != D.v:
         raise ValueError("group degree must equal the point count")
-    return from_base_block(G, D.array[0]) == D
+    return np.array_equal(set_orbit(G.images_array(), D.array[0]), D.array)
 
 
 def is_flag_transitive(G: GroupTable, D: Design) -> bool:

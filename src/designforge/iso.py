@@ -11,13 +11,24 @@ first block set exactly onto the second, so hashed color signatures can never
 produce a false positive; they only steer and prune the search.
 
 Per design, `_Precomp` owns every invariant: the block-intersection matrix,
-the pair signatures (from one sort of every pair of every block), the two
-block histograms, the stable starting colors and the fingerprint.  It also
-owns the two gather indices that `_refine` reads every round: the b x b
-`meet_index` (8 bytes an entry, 28 MB at b = 1872) and the (v, r_max)
-`point_blocks`.  Each is computed on first use and kept for the life of the
-`_Precomp`, so the bucketing, the fingerprint and the backtracking search
-share one copy, and a refinement round allocates no b x b index of its own.
+the pair signatures, the two block histograms, the stable starting colors
+and the fingerprint.  It also owns the two gather indices that `_refine`
+reads every round: the b x b `meet_index` (8 bytes an entry, 28 MB at
+b = 1872) and the (v, r_max) `point_blocks`.  Each is computed on first use
+and kept for the life of the `_Precomp`, so the bucketing, the fingerprint
+and the backtracking search share one copy, and a refinement round allocates
+no b x b index of its own.
+
+Two invariants have a short path.  A design that `iso_classes` has checked
+to be exactly one orbit of blocks under a group G it was given (every design
+`search.run` emits, with the search group) gets a `_Precomp` that knows G.
+Its block histograms come from block 0's row of meets, which every other
+row permutes, and its pair signatures from one pair per G-orbit of point
+pairs, on which they are constant.  Every other design, and every design
+that `are_isomorphic`, `fingerprint` or the `designforge iso` command sees,
+takes the b x b path: the histograms count the whole intersection matrix,
+and the pair signatures come from one sort of every pair of every block.
+Both paths give the same values bit for bit.
 
 `iso_classes` works in tiers and reuses what it learns:
 
@@ -29,10 +40,11 @@ share one copy, and a refinement round allocates no b x b index of its own.
   learned bijection outside G settles every pair it relates.
 * Tiers.  A design that no kept bijection settles is compared with the
   class representatives: first the intersection and block-profile
-  histograms (from the intersection matrix alone), then the histogram of
-  the stable colors, then backtracking.  Pair signatures and colors are
-  built only for designs that reach the second tier, and each `_Precomp`
-  lives only while its design is being compared.
+  histograms (from block 0 on the short path, from the intersection matrix
+  otherwise), then the histogram of the stable colors, then backtracking.
+  Pair signatures and colors, and on the short path the intersection
+  matrix too, are built only for designs that reach the second tier, and
+  each `_Precomp` lives only while its design is being compared.
 * Negative answers come only from a mismatched invariant or an exhausted
   backtracking search.  A kept bijection that finds no match decides
   nothing.
@@ -47,7 +59,8 @@ from itertools import chain
 
 import numpy as np
 
-from .design import Design, order_key
+from .design import Design, is_block_transitive, order_key
+from .permgroup import GroupTable, pair_orbit_table
 
 _U64 = np.uint64
 
@@ -81,6 +94,33 @@ def _row_multiset_hash(rows: np.ndarray) -> np.ndarray:
     return _mix((srt * _weights(srt.shape[1])[None, :]).sum(axis=1))
 
 
+def _pair_hashes(
+    counts: np.ndarray, on_block: np.ndarray, meet: np.ndarray, all_covered: bool
+) -> np.ndarray:
+    """One signature per point pair, where pair i lies on the counts[i]
+    blocks that follow its predecessors' in `on_block`.
+
+    A pair on no block gets 0.  The pairs of one coverage count c are hashed
+    together as rows of the c(c-1)/2 meets among their blocks, except that
+    a pair on one block has no meets, and outside 2-(v,k,1) designs
+    (`all_covered` with one count) its signature is the constant 1, not the
+    empty-row hash.
+    """
+    starts = np.cumsum(counts) - counts
+    coverages = np.unique(counts[counts > 0])
+    lam = int(coverages[0]) if all_covered and len(coverages) == 1 else None
+    hashes = np.zeros(len(counts), dtype=_U64)
+    for c in coverages:
+        sel = counts == c
+        if c == 1 and lam != 1:
+            hashes[sel] = 1
+            continue
+        blks = on_block[starts[sel, None] + np.arange(c)]
+        a, b = np.triu_indices(c, k=1)
+        hashes[sel] = _row_multiset_hash(meet[blks[:, a], blks[:, b]])
+    return hashes
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     """Relabeling-invariant summary of a design, used as an isomorphism prefilter."""
@@ -112,8 +152,11 @@ class _Precomp:
     """Every per-design invariant and refinement index, each computed on
     first use and kept until the `_Precomp` is dropped."""
 
-    def __init__(self, D: Design):
+    def __init__(self, D: Design, group: GroupTable | None = None):
         self.design = D
+        # a group of which D is exactly one block orbit (`iso_classes` checks
+        # this before passing it), or None
+        self.group = group
 
     @cached_property
     def meet(self) -> np.ndarray:
@@ -153,52 +196,71 @@ class _Precomp:
         |B ∩ B'| over the blocks B != B' through both; S[p,p] hashes the
         number of blocks through p.  So the pair coverage and lambda are
         functions of S, and the stable colors, which start from S's row
-        hashes, see them.  Every pair of every block is keyed once; sorting
-        the keys groups the blocks through each pair, and the pairs of one
-        coverage count c are hashed together as rows of c(c-1)/2 meets.
+        hashes, see them.
+
+        With no group, every pair of every block is keyed once, and sorting
+        the keys groups the blocks through each pair.  With a group G of which
+        the design is one block orbit, S is constant on the G-orbits of point
+        pairs (g maps the blocks through {p, q} onto those through {gp, gq}
+        and keeps every meet), so one pair per orbit is hashed and S is read
+        off `pair_orbit_table(G)`'s labels.
         """
         D = self.design
         v = D.v
-        iu, ju = np.triu_indices(D.k, k=1)
-        keys = (D.array[:, iu] * v + D.array[:, ju]).ravel()
-        order = np.argsort(keys)
-        on_block = order // len(iu)  # blocks through each pair, pair by pair
-        pair_keys, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
-        ps, qs = np.divmod(pair_keys, v)
-        coverages = np.unique(counts)
-        lam = (
-            int(coverages[0])
-            if len(pair_keys) == math.comb(v, 2) and len(coverages) == 1
-            else None
-        )
-        S = np.diag(_mix(np.bincount(D.array.ravel(), minlength=v)))
-        for c in coverages:
-            sel = counts == c
-            blks = on_block[starts[sel, None] + np.arange(c)]
-            a, b = np.triu_indices(c, k=1)
-            hashes = _row_multiset_hash(self.meet[blks[:, a], blks[:, b]])
-            if c == 1 and lam != 1:
-                # a pair on one block has no meets; outside 2-(v,k,1) designs
-                # its signature is the constant 1, not the empty-row hash
-                hashes[:] = 1
-            S[ps[sel], qs[sel]] = S[qs[sel], ps[sel]] = hashes
+        diagonal = _mix(np.bincount(D.array.ravel(), minlength=v))
+        if self.group is None:
+            iu, ju = np.triu_indices(D.k, k=1)
+            keys = (D.array[:, iu] * v + D.array[:, ju]).ravel()
+            order = np.argsort(keys)
+            pair_keys, counts = np.unique(keys[order], return_counts=True)
+            hashes = _pair_hashes(
+                counts,
+                order // len(iu),  # blocks through each pair, pair by pair
+                self.meet,
+                all_covered=len(pair_keys) == math.comb(v, 2),
+            )
+            ps, qs = np.divmod(pair_keys, v)
+            S = np.diag(diagonal)
+            S[ps, qs] = S[qs, ps] = hashes
+            return S
+        labels, sizes = pair_orbit_table(self.group)
+        iu, ju = np.triu_indices(v, k=1)
+        pair = np.empty(len(sizes), dtype=np.intp)
+        pair[labels[iu, ju]] = np.arange(len(iu))  # one pair of each orbit, whichever
+        inc = D.incidence()
+        on = inc[:, iu[pair]] & inc[:, ju[pair]]  # (b, orbits): blocks through each pair
+        counts = np.count_nonzero(on, axis=0)
+        hashes = _pair_hashes(counts, np.nonzero(on.T)[1], self.meet, all_covered=counts.all())
+        S = hashes[labels]  # labels[p, p] is -1: the diagonal is set next
+        S[np.diag_indices(v)] = diagonal
         return S
 
     @cached_property
     def block_histograms(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-        """The block-intersection and block-profile histograms, from `meet` alone:
-        meet is symmetric, so `meet_index` counts row j's meets at j (k+1)."""
+        """The block-intersection and block-profile histograms.
+
+        With no group they come from `meet` alone: meet is symmetric, so
+        `meet_index` counts row j's meets at j (k+1).  With a group of which
+        the design is one block orbit, every row of `meet` is a permutation
+        of block 0's, so block 0's row of counts stands for all b.
+        """
         D = self.design
-        flat = np.bincount(self.meet_index.ravel(), minlength=D.b * (D.k + 1))
-        profile_rows = flat.reshape(D.b, D.k + 1)
+        if self.group is None:
+            flat = np.bincount(self.meet_index.ravel(), minlength=D.b * (D.k + 1))
+            profile_rows = flat.reshape(D.b, D.k + 1)
+        else:
+            on_first = np.zeros(D.v, dtype=np.intp)
+            on_first[D.array[0]] = 1
+            profile_rows = np.bincount(on_first[D.array].sum(axis=1), minlength=D.k + 1)[None, :]
         profile_rows[:, D.k] -= 1  # drop the self-intersection
+        copies = D.b // len(profile_rows)
         profile_hashes = _row_multiset_hash(
             profile_rows + np.arange(D.k + 1, dtype=np.int64)[None, :] * 4096
         )
-        inter = profile_rows.sum(axis=0) // 2  # each unordered pair of blocks, once
+        inter = profile_rows.sum(axis=0) * copies // 2  # each unordered pair of blocks, once
         return (
             tuple((size, int(c)) for size, c in enumerate(inter) if c),
-            _histogram(profile_hashes),
+            _histogram(np.repeat(profile_hashes, copies)),
         )
 
     @cached_property
@@ -347,7 +409,7 @@ def _are_isomorphic(pre1: _Precomp, pre2: _Precomp) -> IsoCertificate:
     return IsoCertificate(True, bijection=found)
 
 
-def iso_classes(designs: list[Design]) -> list[list[int]]:
+def iso_classes(designs: list[Design], group: GroupTable | None = None) -> list[list[int]]:
     """Partition input indices into isomorphism classes.
 
     Designs are visited in input order.  A design joins a class when the
@@ -357,7 +419,23 @@ def iso_classes(designs: list[Design]) -> list[list[int]]:
     Each class lists its members in ascending input order, and classes are
     ordered by the lexicographically least canonical block set they contain;
     the partition is independent of the input order.
+
+    `group`, if given, only speeds the work up.  A design that is exactly
+    the G-orbit of its first block (`is_block_transitive`, checked here once
+    per design that reaches the tiers) reads its block histograms off block
+    0 and its pair signatures off one pair per G-orbit of pairs.  Any other
+    design takes the b x b path, and the partition is the same with or
+    without the group.
     """
+    known: dict[int, GroupTable | None] = {}  # the group each design may use, checked once
+
+    def precomp(i: int) -> _Precomp:
+        D = designs[i]
+        if i not in known:
+            one_orbit = group is not None and group.degree == D.v and is_block_transitive(group, D)
+            known[i] = group if one_orbit else None
+        return _Precomp(D, known[i])
+
     label: list[int] = []  # label[i]: the first design of design i's class
     visited: dict[Design, int] = {}
     learned: dict[bytes, np.ndarray] = {}
@@ -370,17 +448,17 @@ def iso_classes(designs: list[Design]) -> list[list[int]]:
         if hit is not None:
             label.append(label[hit])
             continue
-        pre = _Precomp(D)
+        pre = precomp(i)
         bucket = reps.setdefault((D.v, D.b, D.k, pre.block_histograms), [])
         for r in bucket:
             r_pre = None
             if r not in fps:
-                r_pre = _Precomp(designs[r])
+                r_pre = precomp(r)
                 fps[r] = r_pre.fingerprint
             fps[i] = pre.fingerprint
             if fps[r] != fps[i]:
                 continue
-            cert = _are_isomorphic(r_pre or _Precomp(designs[r]), pre)
+            cert = _are_isomorphic(r_pre or precomp(r), pre)
             if cert.isomorphic:
                 label.append(label[r])
                 pi = np.array(cert.bijection, dtype=np.int64)

@@ -200,7 +200,7 @@ def run(job: SearchJob) -> SearchResult:
                     designs.append(D)
     # sorted, so each class's first member (classes keep input order) is its least
     designs.sort(key=order_key)
-    classes = iso_classes(designs) if designs else []
+    classes = iso_classes(designs, group=G) if designs else []
     records = [
         DesignRecord(D, set_stabilizer(G, D.array[0]).order, is_flag_transitive(G, D))
         for D in (designs[cls[0]] for cls in classes)

@@ -136,6 +136,38 @@ def test_criterion_3_lambda12_representatives_pinned(psl_sweep):
     assert hashlib.sha256(blocks.encode()).hexdigest() == LAMBDA12_REPRESENTATIVES_SHA256
 
 
+# an invariant 12-set of the lambda = 3 base block's stabilizer whose psl33
+# orbit is the other lambda = 3 block set, the outer twin (0-based)
+BASE_BLOCK_LAMBDA3_TWIN = (3, 5, 12, 21, 40, 48, 54, 71, 77, 83, 109, 143)
+
+
+def test_iso_orbit_path_matches_the_bxb_path(psl33, pgl33, psl_sweep):
+    # a _Precomp that knows the group reads the block histograms off block 0
+    # and the pair signatures off one pair per pair orbit; both, and so the
+    # stable colours and the fingerprint, equal the b x b path's bit for bit.
+    # The b x b path takes about 30 ms a lambda = 12 design and its colours
+    # 30 ms more, so every third representative is compared, and every
+    # fifteenth down to the colours; the colours follow from the pair
+    # signatures and `meet_index`, which both paths share
+    lam3 = [
+        dz.from_base_block(psl33, base) for base in (BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA3_TWIN)
+    ]
+    assert lam3[0] != lam3[1] and [dz.lambda_of(D, 2) for D in lam3] == [3, 3]
+    lam12 = psl_sweep[0][12].designs
+    cases = [(psl33, D, True) for D in lam3]
+    cases.append((pgl33, dz.from_base_block(pgl33, BASE_BLOCK_LAMBDA6), True))
+    cases += [(psl33, D, i % 15 == 0) for i, D in enumerate(lam12) if i % 3 == 0]
+    for G, D, colours in cases:
+        plain, orbit = iso._Precomp(D), iso._Precomp(D, G)
+        assert orbit.block_histograms == plain.block_histograms
+        assert "meet" not in vars(orbit)  # the histograms needed no b x b meets
+        assert orbit.pairs.dtype == plain.pairs.dtype
+        assert np.array_equal(orbit.pairs, plain.pairs)
+        if colours:
+            assert all(np.array_equal(a, b) for a, b in zip(orbit.colors, plain.colors))
+            assert orbit.fingerprint == plain.fingerprint
+
+
 # per class of order-3 subgroups H, in class order: |N_G(H)|, filter
 # survivors, canonical survivors (least in their N_G(H)-orbit), accepted designs
 LAMBDA12_AUDIT = [(18, 1056, 176, 174), (108, 288, 8, 8)]

@@ -408,6 +408,41 @@ def test_iso_classes_reuses_a_learned_bijection(monkeypatch):
     assert len(searches) == 1
 
 
+# an invariant 12-set of the lambda = 3 base block's stabilizer (0-based):
+# its psl33 orbit has 468 blocks, and next to the lambda = 3 design's blocks
+# they meet the union's blocks in another profile
+BASE_BLOCK_SECOND_ORBIT = (4, 10, 34, 41, 55, 67, 85, 99, 115, 122, 136, 142)
+
+
+def test_iso_classes_group_falls_back_off_one_orbit(psl33, monkeypatch):
+    # only a design that is exactly one G-orbit of blocks takes the group's
+    # short path; a G-invariant union of two orbits and a relabelled orbit
+    # take the b x b path, so the partition and every fingerprint are those
+    # of the group-less call
+    D = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
+    union = dz.Design(
+        144, np.vstack([D.array, dz.from_base_block(psl33, BASE_BLOCK_SECOND_ORBIT).array])
+    )
+    assert union.b == 936 and dz.is_block_transitive(psl33, union) is False
+    assert len(iso.fingerprint(union).block_profile_histogram) == 2
+    relabelled, _ = _random_relabel(D, random.Random(14))
+    designs = [union, relabelled, D]
+    plain = iso.iso_classes(designs)
+    fingerprints = {E: iso.fingerprint(E) for E in designs}
+    made = []
+
+    class Recorded(iso._Precomp):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(iso, "_Precomp", Recorded)
+    assert iso.iso_classes(designs, group=psl33) == plain == [[1, 2], [0]]
+    assert {pre.design: pre.group for pre in made} == {union: None, relabelled: None, D: psl33}
+    for pre in made:
+        assert pre.fingerprint == fingerprints[pre.design]
+
+
 def test_order_key_sorts_as_block_tuples():
     # same v with mixed k and b, including a design whose blocks start
     # another design's blocks

@@ -173,7 +173,9 @@ def test_record_is_the_least_design_of_its_class(psl33, monkeypatch):
     from designforge import iso
 
     seen = []
-    monkeypatch.setattr(sr, "iso_classes", lambda ds: seen.append(ds) or iso.iso_classes(ds))
+    monkeypatch.setattr(
+        sr, "iso_classes", lambda ds, group: seen.append(ds) or iso.iso_classes(ds, group=group)
+    )
     res = sr.run(sr.SearchJob(psl33, 12, 3))
     [designs] = seen
     assert len(designs) == 2 and iso.are_isomorphic(*designs).isomorphic
