@@ -80,7 +80,9 @@ def _write_outputs(
 
 
 def _parse_points(text: str) -> list[int]:
-    pts = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+    toks = text.replace(" ", "").split(",")
+    # an empty token (",," or a trailing comma) is an error, not a skipped point
+    pts = [int(tok) for tok in toks] if all(toks) else []
     if not pts or min(pts) < 1:
         raise ValueError("points are 1-based and comma-separated")
     return [p - 1 for p in pts]

@@ -19,16 +19,27 @@ and kept for the life of the `_Precomp`, so the bucketing, the fingerprint
 and the backtracking search share one copy, and a refinement round allocates
 no b x b index of its own.
 
-Two invariants have a short path.  A design that `iso_classes` has checked
-to be exactly one orbit of blocks under a group G it was given (every design
-`search.run` emits, with the search group) gets a `_Precomp` that knows G.
-Its block histograms come from block 0's row of meets, which every other
-row permutes, and its pair signatures from one pair per G-orbit of point
-pairs, on which they are constant.  Every other design, and every design
-that `are_isomorphic`, `fingerprint` or the `designforge iso` command sees,
-takes the b x b path: the histograms count the whole intersection matrix,
-and the pair signatures come from one sort of every pair of every block.
-Both paths give the same values bit for bit.
+A design that `iso_classes` has checked to be exactly one orbit of blocks
+under a group G it was given (every design `search.run` emits, with the
+search group) gets a `_Precomp` that knows G, and G's symmetry shortens
+three computations.  Its block histograms come from block 0's row of meets,
+which every other row permutes.  Its pair signatures come from one pair per
+G-orbit of point pairs, on which they are constant.  And refinement works
+on orbit representatives: the colouring at each backtracking depth is
+constant on the orbits of the pointwise stabilizer in G of the points
+individualized so far, so `_refine` computes each colour for one point and
+one block per orbit (one block and G's point-orbit representatives at
+depth 0) and copies it to the rest of the orbit.  For the lambda = 3
+designs of PSL(3,3) on 144 points that is 1 point and 1 block at depth 0,
+8 and 16 at depth 1, and 52 and 160 at depth 2, of 144 and 468.  Such a
+design builds `meet_index` only where backtracking reaches a trivial
+stabilizer.  Every other design, and every design that `are_isomorphic`,
+`fingerprint` or the `designforge iso` command sees, takes the b x b path:
+the histograms count the whole intersection matrix, the pair signatures
+come from one sort of every pair of every block, and every point and block
+is its own representative.  Sums of the same uint64 terms do not depend on
+their order, so both paths give the same values, colours and bijections bit
+for bit.
 
 `iso_classes` works in tiers and reuses what it learns:
 
@@ -59,7 +70,7 @@ from itertools import chain
 
 import numpy as np
 
-from .design import Design, is_block_transitive, order_key
+from .design import Design, order_key
 from .permgroup import GroupTable, pair_orbit_table
 
 _U64 = np.uint64
@@ -121,6 +132,48 @@ def _pair_hashes(
     return hashes
 
 
+def _meet_index(meet_rows: np.ndarray, k: int) -> np.ndarray:
+    """meet_rows[i, j] + j (k+1) as intp (see `_Precomp.meet_index`)."""
+    index = meet_rows.astype(np.intp)
+    index += np.arange(meet_rows.shape[1], dtype=np.intp) * (k + 1)
+    return index
+
+
+def _block_of(G: GroupTable, D: Design) -> np.ndarray | None:
+    """The index in D of the block g(B0) for each element g of G, where B0 is
+    block 0, when D is exactly the G-orbit of B0; otherwise None.
+
+    Each block and each image g(B0) is keyed by the sum of its points'
+    weights, so no row is sorted.  The distinct image keys must be the block
+    keys, each once: then every block is hit, and two blocks that share a
+    key give None, never a wrong map.  The match is then checked exactly in
+    the incidence matrix: each image must lie in, so equal, its block.
+    """
+    w = _weights(D.v)
+    keys = w[D.array].sum(axis=1)
+    order = np.argsort(keys)
+    images = G.images_array()[:, D.array[0]].astype(np.intp)
+    image_keys, block_rank = np.unique(w[images].sum(axis=1), return_inverse=True)
+    if not np.array_equal(image_keys, keys[order]):
+        return None
+    block_of = order[block_rank]
+    inside = D.incidence().ravel()[(block_of * D.v)[:, None] + images].all()
+    return block_of if inside else None
+
+
+# orbits as (representatives, the position among them of each member's
+# representative); in `_OWN` every member is its own representative, and
+# indexing by its slices takes views, so the group-less path copies nothing
+_Reps = tuple[np.ndarray | slice, np.ndarray | slice]
+_OWN: _Reps = (slice(None), slice(None))
+
+
+def _reps(least: np.ndarray) -> _Reps:
+    """The orbits named by `least`, each member's least orbit-mate."""
+    reps, of = np.unique(least, return_inverse=True)
+    return _OWN if len(reps) == len(least) else (reps, of)
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     """Relabeling-invariant summary of a design, used as an isomorphism prefilter."""
@@ -152,11 +205,15 @@ class _Precomp:
     """Every per-design invariant and refinement index, each computed on
     first use and kept until the `_Precomp` is dropped."""
 
-    def __init__(self, D: Design, group: GroupTable | None = None):
+    def __init__(
+        self, D: Design, group: GroupTable | None = None, block_of: np.ndarray | None = None
+    ):
         self.design = D
-        # a group of which D is exactly one block orbit (`iso_classes` checks
-        # this before passing it), or None
+        # a group of which D is exactly one block orbit, and `_block_of(group,
+        # D)`, which shows it (`iso_classes` computes it before passing both);
+        # or None.  The colours at depth 0 need the group alone
         self.group = group
+        self.block_of = block_of
 
     @cached_property
     def meet(self) -> np.ndarray:
@@ -170,9 +227,7 @@ class _Precomp:
         """meet[i, j] + j (k+1) as intp: where `_refine`'s block term for the
         pair (i, j) sits in a (b, k+1) table whose row j belongs to block j.
         b x b, 8 bytes an entry: 1.75 MB at b = 468, 28 MB at b = 1872."""
-        index = self.meet.astype(np.intp)
-        index += np.arange(self.design.b, dtype=np.intp) * (self.design.k + 1)
-        return index
+        return _meet_index(self.meet, self.design.k)
 
     @cached_property
     def point_blocks(self) -> np.ndarray:
@@ -186,6 +241,44 @@ class _Precomp:
         index = np.full((D.v, int(through.max())), D.b, dtype=np.intp)
         index[pts[order], np.arange(len(pts)) - starts[pts[order]]] = order // D.k
         return index
+
+    def orbits(self, fixed: tuple[int, ...]) -> tuple[_Reps, _Reps]:
+        """The orbits on points and on blocks of H, the pointwise stabilizer
+        of `fixed` in the group, each as (representatives, the position in
+        them of each point's or block's representative).  Every point or
+        block is its own representative (`_OWN`) with no group, or where H
+        fixes every point or every block.
+
+        H fixes every colouring that `_refine` reaches from colours it fixes,
+        so one representative per orbit carries its orbit's colour.  A point
+        orbit is named by its least point (the rows of H hold every element,
+        so a column's minimum is the least point of its orbit).  Block j is
+        g(B0) for the element g = `_carriers[j]`, and h(B_j) is (g then h)(B0)
+        = `block_of[T[g, h]]`, so one gather of G's multiplication table per
+        element of H names each block orbit by its least block.
+        """
+        if self.group is None:
+            return _OWN, _OWN
+        if not fixed:  # D is one block orbit of G itself
+            return _reps(self._least_points), _reps(np.zeros(self.design.b, dtype=np.intp))
+        rows = self.group.images_array()
+        fixed_arr = np.array(fixed)
+        H = np.flatnonzero((rows[:, fixed_arr] == fixed_arr).all(axis=1))
+        T = self.group.mul_table()
+        least_blocks = self.block_of[T[self._carriers[:, None], H]].min(axis=1)
+        return _reps(rows[H].min(axis=0)), _reps(least_blocks)
+
+    @cached_property
+    def _least_points(self) -> np.ndarray:
+        """The least point of each point's G-orbit."""
+        return self.group.images_array().min(axis=0)
+
+    @cached_property
+    def _carriers(self) -> np.ndarray:
+        """For each block B_j, one element g of the group with g(B0) = B_j."""
+        carriers = np.empty(self.design.b, dtype=np.intp)
+        carriers[self.block_of] = np.arange(self.group.order)
+        return carriers
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -289,7 +382,9 @@ def _histogram(values: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((int(v), int(c)) for v, c in zip(vals, counts))
 
 
-def _refine(pre: _Precomp, pc: np.ndarray, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _refine(
+    pre: _Precomp, pc: np.ndarray, bc: np.ndarray, fixed: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
     """Refine point/block colors to a stable partition.
 
     Colors are raw 64-bit signatures, so colorings computed independently on
@@ -300,11 +395,20 @@ def _refine(pre: _Precomp, pc: np.ndarray, bc: np.ndarray) -> tuple[np.ndarray, 
     all other points.  A block's (intersection size, color) term depends
     only on those two values, so it is looked up in a colors x (k+1) table.
     Each round spreads that table to one row per block and gathers it
-    through `pre.meet_index`, and gathers the point term through
-    `pre.point_blocks`, whose padding slot b holds a zero term; both indices
-    are built once per design.  uint64 sums wrap, so they are exact modulo
-    2^64 in any order: any method that adds the same terms gives the same
-    colors, bit for bit.
+    through rows of `pre.meet_index`, and gathers the point term through
+    rows of `pre.point_blocks`, whose padding slot b holds a zero term.
+    uint64 sums wrap, so they are exact modulo 2^64 in any order: any method
+    that adds the same terms gives the same colors, bit for bit.
+
+    `fixed` lists the points individualized so far.  Both colorings are
+    constant on the orbits of `pre.orbits(fixed)`, and refinement keeps
+    that (it commutes with every automorphism of the design that keeps the
+    colours), so each term is computed for one representative per orbit and
+    copied to the rest of it.  With no group every point and block is its
+    own representative, and the index rows are the whole of `meet_index`.
+    With a group, the rows are those of the block representatives alone
+    (one at depth 0), taken from `pre.meet`, until the stabilizer is
+    trivial.
 
     The loop stops after the first round that does not raise the total number
     of point and block classes.  That total is at most v + b, so the loop ends.
@@ -312,24 +416,32 @@ def _refine(pre: _Precomp, pc: np.ndarray, bc: np.ndarray) -> tuple[np.ndarray, 
     their colorings stay comparable; barring a 64-bit hash collision each
     round refines the last, so the stop is the first round that splits nothing.
     """
-    arr = pre.design.array
-    sig = pre.pairs
-    sizes = np.arange(pre.design.k + 1, dtype=_U64) * _U64(0x9DDFEA08EB382D69)
-    b_vals, b_ids = np.unique(bc, return_inverse=True)
-    n_p, n_b = len(np.unique(pc)), len(b_vals)
+    D = pre.design
+    (p_reps, p_of), (b_reps, b_of) = pre.orbits(fixed)
+    index = pre.meet_index if isinstance(b_reps, slice) else _meet_index(pre.meet[b_reps], D.k)
+    arr = D.array[b_reps]
+    through = pre.point_blocks[p_reps]
+    sig = pre.pairs[p_reps]
+    sizes = np.arange(D.k + 1, dtype=_U64) * _U64(0x9DDFEA08EB382D69)
+    b_vals, ids = np.unique(bc[b_reps], return_inverse=True)
+    b_ids = ids[b_of]
+    n_p, n_b = len(np.unique(pc[p_reps])), len(b_vals)
     while True:
         table = _mix(_mix(b_vals)[:, None] ^ sizes[None, :])  # row: color, column: size
         # every index is in range by construction, so mode="clip" only drops
         # the bounds check (block gather at b = 468: 0.36 ms, 0.43 ms checked)
-        bsig = np.take(table[b_ids].ravel(), pre.meet_index, mode="clip").sum(axis=1)
+        bsig = np.take(table[b_ids].ravel(), index, mode="clip").sum(axis=1)
         bpoint = _mix(pc * _U64(3) + _U64(1))[arr].sum(axis=1)
-        bc = _mix(bc) ^ _mix(bsig) ^ _mix(bpoint)
+        b_new = _mix(bc[b_reps]) ^ _mix(bsig) ^ _mix(bpoint)
+        bc = b_new[b_of]
         bterm = np.append(_mix(bc * _U64(5) + _U64(2)), _U64(0))  # slot b: the padding
-        pblock = np.take(bterm, pre.point_blocks, mode="clip").sum(axis=1)
+        pblock = np.take(bterm, through, mode="clip").sum(axis=1)
         ppair = _mix(sig ^ _mix(pc * _U64(7) + _U64(3))[None, :]).sum(axis=1)
-        pc = _mix(pc) ^ _mix(pblock) ^ _mix(ppair)
-        b_vals, b_ids = np.unique(bc, return_inverse=True)
-        m_p, m_b = len(np.unique(pc)), len(b_vals)
+        p_new = _mix(pc[p_reps]) ^ _mix(pblock) ^ _mix(ppair)
+        pc = p_new[p_of]
+        b_vals, ids = np.unique(b_new, return_inverse=True)
+        b_ids = ids[b_of]
+        m_p, m_b = len(np.unique(p_new)), len(b_vals)
         if m_p + m_b <= n_p + n_b:
             return pc, bc
         n_p, n_b = m_p, m_b
@@ -361,10 +473,13 @@ def _search(
     bc1: np.ndarray,
     pc2: np.ndarray,
     bc2: np.ndarray,
-    depth: int,
+    fixed1: tuple[int, ...] = (),
+    fixed2: tuple[int, ...] = (),
 ) -> tuple[int, ...] | None:
-    pc1, bc1 = _refine(pre1, pc1, bc1)
-    pc2, bc2 = _refine(pre2, pc2, bc2)
+    """Backtrack from the colorings, where fixed1 and fixed2 list the points
+    individualized so far on each side, in order."""
+    pc1, bc1 = _refine(pre1, pc1, bc1, fixed1)
+    pc2, bc2 = _refine(pre2, pc2, bc2, fixed2)
     if _histogram(pc1) != _histogram(pc2):
         return None
     if _histogram(bc1) != _histogram(bc2):
@@ -377,14 +492,14 @@ def _search(
     sel = np.flatnonzero(nonsingle)
     target = sel[np.lexsort((vals[sel], counts[sel]))[0]]
     color = vals[target]
-    fresh = _mix(np.array([color ^ _U64(depth + 0xABCD)], dtype=_U64))[0]
+    fresh = _mix(np.array([color ^ _U64(len(fixed1) + 0xABCD)], dtype=_U64))[0]
     p1 = int(np.flatnonzero(pc1 == color)[0])
-    for p2 in np.flatnonzero(pc2 == color):
+    for p2 in np.flatnonzero(pc2 == color).tolist():
         npc1 = pc1.copy()
         npc1[p1] = fresh
         npc2 = pc2.copy()
-        npc2[int(p2)] = fresh
-        found = _search(pre1, pre2, npc1, bc1, npc2, bc2, depth + 1)
+        npc2[p2] = fresh
+        found = _search(pre1, pre2, npc1, bc1, npc2, bc2, fixed1 + (p1,), fixed2 + (p2,))
         if found is not None:
             return found
     return None
@@ -403,7 +518,7 @@ def are_isomorphic(D1: Design, D2: Design) -> IsoCertificate:
 
 def _are_isomorphic(pre1: _Precomp, pre2: _Precomp) -> IsoCertificate:
     """The backtracking decision, for two designs whose fingerprints match."""
-    found = _search(pre1, pre2, *pre1.colors, *pre2.colors, depth=0)
+    found = _search(pre1, pre2, *pre1.colors, *pre2.colors)
     if found is None:
         return IsoCertificate(False, mismatch="exhausted-backtracking")
     return IsoCertificate(True, bijection=found)
@@ -421,20 +536,22 @@ def iso_classes(designs: list[Design], group: GroupTable | None = None) -> list[
     the partition is independent of the input order.
 
     `group`, if given, only speeds the work up.  A design that is exactly
-    the G-orbit of its first block (`is_block_transitive`, checked here once
-    per design that reaches the tiers) reads its block histograms off block
-    0 and its pair signatures off one pair per G-orbit of pairs.  Any other
-    design takes the b x b path, and the partition is the same with or
-    without the group.
+    the G-orbit of its first block (`_block_of`, checked here once per
+    design that reaches the tiers) reads its block histograms off block 0
+    and its pair signatures off one pair per G-orbit of pairs, and refines
+    on stabilizer-orbit representatives; backtracking on it reads G's
+    multiplication table, which `search.run` has built.  Any other design
+    takes the b x b path, and the partition is the same with or without the
+    group.
     """
-    known: dict[int, GroupTable | None] = {}  # the group each design may use, checked once
+    known: dict[int, np.ndarray | None] = {}  # each design's `_block_of`, checked once
 
     def precomp(i: int) -> _Precomp:
         D = designs[i]
         if i not in known:
-            one_orbit = group is not None and group.degree == D.v and is_block_transitive(group, D)
-            known[i] = group if one_orbit else None
-        return _Precomp(D, known[i])
+            one_orbit = group is not None and group.degree == D.v
+            known[i] = _block_of(group, D) if one_orbit else None
+        return _Precomp(D) if known[i] is None else _Precomp(D, group, known[i])
 
     label: list[int] = []  # label[i]: the first design of design i's class
     visited: dict[Design, int] = {}

@@ -210,6 +210,7 @@ class GroupTable:
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._powers: np.ndarray | None = None
+        self._class_labels: np.ndarray | None = None
         self._pair_orbits: tuple[np.ndarray, np.ndarray] | None = None
         # the subgroup lattice found so far: order d -> the record of every
         # conjugacy class of order d, sorted by least member; an order is a
@@ -477,25 +478,29 @@ def normalizer(H: Subgroup) -> Subgroup:
 
 
 def _class_labels(G: GroupTable) -> np.ndarray:
-    """The least element of each element's conjugacy class.
+    """The least element of each element's conjugacy class, computed once
+    per group and kept on it.
 
     Each label only falls to the label of a conjugate: along the conjugation
     map y -> s^-1 y s of every generator s, and by pointer jumping.  At the
     fixed point the labels are constant along every map's cycles, so on each
     class, and the least member of a class keeps its own index.
     """
-    T = G.mul_table()
-    inv = G.inverse_indices()
-    maps = [T[T[inv[s]], s] for s in map(G.index_of, G.generators)]
-    labels = np.arange(G.order)
-    while True:
-        new = labels
-        for conj in maps:
-            new = np.minimum(new, new[conj])
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
+    if G._class_labels is None:
+        T = G.mul_table()
+        inv = G.inverse_indices()
+        maps = [T[T[inv[s]], s] for s in map(G.index_of, G.generators)]
+        labels = np.arange(G.order)
+        while True:
+            new = labels
+            for conj in maps:
+                new = np.minimum(new, new[conj])
+            new = new[new]
+            if np.array_equal(new, labels):
+                break
+            labels = new
+        G._class_labels = labels
+    return G._class_labels
 
 
 def _closure_capped(

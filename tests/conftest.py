@@ -16,6 +16,9 @@ BASE_BLOCK_LAMBDA12_PUBLISHED = tuple(
     p - 1 for p in (1, 2, 6, 15, 30, 35, 47, 56, 81, 118, 122, 135)
 )
 BASE_BLOCK_LAMBDA6 = tuple(p - 1 for p in (30, 31, 40, 44, 56, 67, 71, 84, 85, 93, 122, 125))
+# an invariant 12-set of the lambda = 3 base block's stabilizer whose psl33
+# orbit is the other lambda = 3 block set, the outer twin (0-based)
+BASE_BLOCK_LAMBDA3_TWIN = (3, 5, 12, 21, 40, 48, 54, 71, 77, 83, 109, 143)
 
 
 def lucas_proof(r: int) -> bool:

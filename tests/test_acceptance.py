@@ -32,6 +32,7 @@ from designforge import search as sr
 
 from conftest import (
     BASE_BLOCK_LAMBDA3,
+    BASE_BLOCK_LAMBDA3_TWIN,
     BASE_BLOCK_LAMBDA6,
     BASE_BLOCK_LAMBDA12_PUBLISHED,
 )
@@ -136,19 +137,14 @@ def test_criterion_3_lambda12_representatives_pinned(psl_sweep):
     assert hashlib.sha256(blocks.encode()).hexdigest() == LAMBDA12_REPRESENTATIVES_SHA256
 
 
-# an invariant 12-set of the lambda = 3 base block's stabilizer whose psl33
-# orbit is the other lambda = 3 block set, the outer twin (0-based)
-BASE_BLOCK_LAMBDA3_TWIN = (3, 5, 12, 21, 40, 48, 54, 71, 77, 83, 109, 143)
-
-
 def test_iso_orbit_path_matches_the_bxb_path(psl33, pgl33, psl_sweep):
     # a _Precomp that knows the group reads the block histograms off block 0
-    # and the pair signatures off one pair per pair orbit; both, and so the
-    # stable colours and the fingerprint, equal the b x b path's bit for bit.
-    # The b x b path takes about 30 ms a lambda = 12 design and its colours
-    # 30 ms more, so every third representative is compared, and every
-    # fifteenth down to the colours; the colours follow from the pair
-    # signatures and `meet_index`, which both paths share
+    # and the pair signatures off one pair per pair orbit, and refines on
+    # one point and block per orbit; the histograms, the pair signatures,
+    # the stable colours and the fingerprint equal the b x b path's bit for
+    # bit.  The b x b path takes about 30 ms a lambda = 12 design and its
+    # colours 30 ms more, so every third representative is compared, and
+    # every fifteenth down to the colours
     lam3 = [
         dz.from_base_block(psl33, base) for base in (BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA3_TWIN)
     ]

@@ -226,6 +226,17 @@ def test_verify_base_block(capsys):
     assert "block-transitive: True   flag-transitive: True" in out
 
 
+@pytest.mark.parametrize(
+    "base",
+    ["3,,7,29,30,67,68,84,96,100,101,107,134", "3,7,29,30,67,68,84,96,100,101,107,134,"],
+    ids=["empty-token", "trailing-comma"],
+)
+def test_verify_base_block_rejects_an_empty_token(capsys, base):
+    rc = cli.main(["verify", "--gens", data_path("psl33.gens"), "--base-block", base])
+    assert rc == cli.EXIT_PRECONDITION
+    assert "points are 1-based and comma-separated" in capsys.readouterr().err
+
+
 def test_verify_design_file_and_iso(tmp_path, s4_gens, capsys):
     out = tmp_path / "designs"
     cli.main(["search", "--gens", str(s4_gens), "--k", "2", "--lambda", "1", "--out-dir", str(out)])

@@ -13,7 +13,7 @@ from designforge import design as dz
 from designforge import iso
 from designforge import permgroup as pg
 
-from conftest import BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA6
+from conftest import BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA3_TWIN, BASE_BLOCK_LAMBDA6
 
 FANO = dz.Design(
     7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
@@ -441,6 +441,127 @@ def test_iso_classes_group_falls_back_off_one_orbit(psl33, monkeypatch):
     assert {pre.design: pre.group for pre in made} == {union: None, relabelled: None, D: psl33}
     for pre in made:
         assert pre.fingerprint == fingerprints[pre.design]
+
+
+def _backtrack(monkeypatch, pre1, pre2):
+    """`iso._are_isomorphic(pre1, pre2)`, and every colouring `_refine`
+    returned on the way: (points individualized, point colours, block colours)."""
+    seen = []
+    real = iso._refine
+
+    def recorded(pre, pc, bc, fixed=()):
+        out = real(pre, pc, bc, fixed)
+        seen.append((fixed, *out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(iso, "_refine", recorded)
+        return iso._are_isomorphic(pre1, pre2), seen
+
+
+def _grouped(D, G):
+    return iso._Precomp(D, G, iso._block_of(G, D))
+
+
+def _assert_same_refinements(got, want):
+    assert [len(fixed) for fixed, _, _ in got] == [len(fixed) for fixed, _, _ in want]
+    for (_, pc, bc), (_, want_pc, want_bc) in zip(got, want):
+        assert np.array_equal(pc, want_pc) and np.array_equal(bc, want_bc)
+
+
+def test_group_path_refines_as_the_group_less_path(psl33, monkeypatch):
+    # the two lambda = 3 block sets: refining on one representative per
+    # stabilizer orbit gives the group-less colourings at every depth, bit
+    # for bit, and so the same bijection
+    designs = [
+        dz.from_base_block(psl33, base) for base in (BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA3_TWIN)
+    ]
+    grouped = [_grouped(D, psl33) for D in designs]
+    want_cert, want = _backtrack(monkeypatch, *map(iso._Precomp, designs))
+    cert, got = _backtrack(monkeypatch, *grouped)
+    assert cert == want_cert and cert.isomorphic
+    _assert_same_refinements(got, want)
+    # representatives per depth on the first design: G, G_p (order 39), G_pq
+    # (order 3), then the trivial group, where every point and block is its own
+    reps = {
+        len(fixed): tuple(n if isinstance(r, slice) else len(r)
+                          for n, (r, _) in zip((144, 468), grouped[0].orbits(fixed)))
+        for fixed, _, _ in got[::2]  # the first design's
+    }
+    assert reps == {0: (1, 1), 1: (8, 16), 2: (52, 160), 3: (144, 468)}
+
+
+def test_group_path_on_a_point_intransitive_group(psl33, monkeypatch):
+    # the stabilizer G_0 of point 0 (order 39, 8 point orbits) and a design
+    # that is one of its block orbits, against itself and against a
+    # relabelled copy that takes the group-less path
+    rows = psl33.images_array()
+    stab = np.flatnonzero(rows[:, 0] == 0)
+    orders = psl33.element_orders()[stab]
+    gens = [psl33.element(int(stab[orders == n][0])) for n in (13, 3)]
+    H = pg.GroupTable.generate(gens)
+    assert H.order == 39 and len(pg.orbits(H)) == 8
+    D = dz.from_base_block(H, BASE_BLOCK_LAMBDA3)
+    E, _ = _random_relabel(D, random.Random(15))
+    assert D.b == 39 and iso._block_of(H, D) is not None and iso._block_of(H, E) is None
+    assert len(iso._Precomp(D, H).orbits(())[0][0]) == 8
+    for other in (_grouped(D, H), iso._Precomp(E)):
+        want_cert, want = _backtrack(monkeypatch, iso._Precomp(D), iso._Precomp(other.design))
+        cert, got = _backtrack(monkeypatch, _grouped(D, H), other)
+        assert cert == want_cert and cert.isomorphic
+        _assert_same_refinements(got, want)
+
+
+def test_block_key_collision_falls_back(psl33, monkeypatch):
+    # weights under which two blocks of D share a key: D takes the b x b
+    # path, and the partition is the group-less one
+    D, twin = (
+        dz.from_base_block(psl33, base) for base in (BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA3_TWIN)
+    )
+    real = iso._weights
+    w = real(D.v).copy()
+    p = next(p for p in D.array[0] if p not in D.array[1])
+    # one-element arrays: uint64 arithmetic wraps without a warning
+    w[[p]] += w[D.array[1]].sum(keepdims=True) - w[D.array[0]].sum(keepdims=True)
+    monkeypatch.setattr(iso, "_weights", lambda n: w if n == D.v else real(n))
+    assert iso._block_of(psl33, D) is None
+    made = []
+
+    class Recorded(iso._Precomp):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    plain = iso.iso_classes([D, twin])
+    monkeypatch.setattr(iso, "_Precomp", Recorded)
+    assert iso.iso_classes([D, twin], group=psl33) == plain == [[0, 1]]
+    assert {pre.group for pre in made if pre.design == D} == {None}
+
+
+def test_image_key_collision_falls_back(psl33, monkeypatch):
+    # D's last block B swapped for X, a 12-set outside the orbit, under
+    # weights that give X the key of B: the block keys are those of the
+    # orbit, so only the exact incidence check can find that B is missing
+    D = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
+    B = D.array[-1]
+    p, q = B[-1], next(q for q in range(D.v) if q not in B)
+    changed = dz.Design(D.v, np.vstack([D.array[:-1], np.append(B[:-1], q)]))
+    assert changed.b == D.b and np.array_equal(changed.array[0], D.array[0])
+    real = iso._weights
+    w = real(D.v).copy()
+    w[q] = w[p]
+    monkeypatch.setattr(iso, "_weights", lambda n: w if n == D.v else real(n))
+    keys = np.sort(w[changed.array].sum(axis=1))
+    assert np.array_equal(keys, np.sort(w[D.array].sum(axis=1))) and len(np.unique(keys)) == D.b
+    assert iso._block_of(psl33, changed) is None
+    assert iso.iso_classes([changed, D], group=psl33) == iso.iso_classes([changed, D])
+
+
+def test_fingerprint_on_the_group_path_builds_no_meet_index(psl33):
+    D = dz.from_base_block(psl33, BASE_BLOCKS_LAMBDA12_PAIR[0])
+    pre = _grouped(D, psl33)
+    assert pre.fingerprint == iso.fingerprint(D)
+    assert "meet_index" not in vars(pre)
 
 
 def test_order_key_sorts_as_block_tuples():

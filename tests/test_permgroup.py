@@ -433,6 +433,7 @@ def test_class_labels_are_least_conjugates(request, group, classes):
     labels = pg._class_labels(G)
     assert (labels == least).all()
     assert len(np.unique(labels)) == classes
+    assert pg._class_labels(G) is labels  # computed once per group
 
 
 @pytest.mark.parametrize("group, m", [("psl33", 6), ("psl33", 18), ("pgl33", 6)])
