@@ -5,26 +5,28 @@
 
 PARENT_DIR and CHANGE_DIR are two source checkouts (for example two
 `git clone`s), each with its own perfbench/.  The workloads and end-to-end
-metrics are those that CHANGE_DIR/BENCHMARK.json declares.  For every workload and
-pair i the script runs `perfbench/run.py --trace 0` with seed SEED0 + i in
-both checkouts, the parent first on even i and the change first on odd i, so
-a slow drift of the machine falls on both sides.  It then runs one traced
-pair per workload that TRACED_LAYERS lists (a workload it does not list
-records no layers), and one untraced `psl33-lambda12` run with --seconds 1
-per checkout, a by-hand record of that workload's wall_s and peak_rss_mb (it
-is not in BENCHMARK.json and not run in pairs).  In each checkout it records
-the two pinned screen digests, the sha256 of the `screen_report.json` that
+metrics are those that CHANGE_DIR/BENCHMARK.json declares.  For every workload
+and pair i the script runs `perfbench/run.py --trace 0` with seed SEED0 + i in
+both checkouts, the parent first on even i and the change first on odd i, so a
+slow drift of the machine falls on both sides.  It then runs one traced pair
+per workload that TRACED_LAYERS lists (a workload it does not list records no
+layers), and one untraced `psl33-lambda12` run with --seconds 1 per checkout,
+a by-hand record of that workload's wall_s and peak_rss_mb (it is not in
+BENCHMARK.json and not run in pairs).  In each checkout it records the two
+pinned screen digests, the sha256 of the `screen_report.json` that
 `designforge screen --family all` writes, the sha256 of the subgroup class
 representatives of the 22 pinned (group, m) pairs, the sha256 of the stored
 lattice records (least member and generators of every class, not the kept
-normalizer) of tests/test_permgroup.py::LATTICE_RECORD_HASHES, and an iso
-digest: six fingerprint fields of the lambda=3 and lambda=6 reference
-designs, read by name (v, b, k, the intersection, block-profile and
-stable-color histograms, so a checkout whose Fingerprint has more fields
-gives the same digest), and the bijections of
-tests/test_iso.py::test_bijections_pinned.  `digests(checkout)` computes
-these outputs alone (CI runs it).  The JSON written to --out holds every run,
-the median and quartiles of each end-to-end metric, and in how many pairs the
+normalizer) of tests/test_permgroup.py::LATTICE_RECORD_HASHES, the sha256 of
+every file that `designforge search --k 12 --all --out-dir` writes for
+psl33.gens and pgl33.gens except `manifest.json` (which holds wall times), by
+file name (about 3 s), and an iso digest: six fingerprint fields of the
+lambda=3 and lambda=6 reference designs, read by name (v, b, k, the
+intersection, block-profile and stable-color histograms, so a checkout whose
+Fingerprint has more fields gives the same digest), and the bijections of
+tests/test_iso.py::test_bijections_pinned.  `digests(checkout)` computes these
+outputs alone (CI runs it).  The JSON written to --out holds every run, the
+median and quartiles of each end-to-end metric, and in how many pairs the
 change was lower.
 """
 
@@ -53,11 +55,13 @@ TRACED_LAYERS = {
 # digest of test_screen_reports_pinned, the CLI's screen_report.json, and the
 # class representatives of the (group, m) pairs of
 # tests/test_permgroup.py::SUBGROUP_CLASS_HASHES, computed on one group per
-# generator file in the pinned order, so later orders reuse the stored lattice;
-# the lattice records of tests/test_permgroup.py::LATTICE_RECORD_HASHES, each
-# on a fresh group; then six fingerprint fields, by name, of the lambda=3
-# (psl33) and lambda=6 (pgl33) base-block designs of tests/conftest.py, and
-# the bijections that tests/test_iso.py::test_bijections_pinned pins
+# generator file in the pinned order, so later orders reuse the stored
+# lattice; the lattice records of
+# tests/test_permgroup.py::LATTICE_RECORD_HASHES, each on a fresh group; every
+# file but manifest.json that the CLI's search --k 12 --all writes for each
+# shipped group; then six fingerprint fields, by name, of the lambda=3 (psl33)
+# and lambda=6 (pgl33) base-block designs of tests/conftest.py, and the
+# bijections that tests/test_iso.py::test_bijections_pinned pins
 _DIGESTS = """
 import hashlib, json, random, sys
 from pathlib import Path
@@ -86,6 +90,13 @@ for name, orders in (("psl33", (18, 12)), ("pgl33", (36, 24))):
     records.append(sorted((d, [(least.tolist(), gens) for least, gens, *_ in recs])
                           for d, recs in G._subgroup_classes.items()))
     del G
+search_files = {}
+for name in ("psl33", "pgl33"):
+    out_dir = Path(sys.argv[1]) / name
+    main(["search", "--gens", data_path(name + ".gens"), "--k", "12", "--all",
+          "--out-dir", str(out_dir)])
+    search_files[name] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                          for path in sorted(out_dir.iterdir()) if path.name != "manifest.json"}
 fields = ("v", "b", "k", "intersection_histogram", "block_profile_histogram",
           "stable_color_histogram")
 iso_doc = [[getattr(iso.fingerprint(designs[n]), f) for f in fields] for n in ("psl33", "pgl33")]
@@ -103,6 +114,7 @@ print(json.dumps({
     "subgroup_classes_sha256": hashlib.sha256(json.dumps(classes).encode()).hexdigest(),
     "lattice_records_sha256": [hashlib.sha256(json.dumps(r).encode()).hexdigest()
                                for r in records],
+    "search_files_sha256": search_files,
     "iso_sha256": hashlib.sha256(json.dumps(iso_doc).encode()).hexdigest(),
 }))
 """

@@ -190,14 +190,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .design import (
-        from_base_block,
-        is_block_transitive,
-        is_flag_transitive,
-        lambda_of,
-        load_design,
-    )
-    from .permgroup import GroupTable, set_stabilizer
+    from .design import from_base_block, is_flag_transitive, lambda_of, load_design
+    from .permgroup import GroupTable, block_map, set_stabilizer
 
     started = time.time()
     cap = _cap_from_env()
@@ -214,7 +208,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("error: design point count != group degree", file=sys.stderr)
         return EXIT_PRECONDITION
     lams = {t: lambda_of(design, t) for t in (1, 2)}
-    block_trans = is_block_transitive(group, design)
+    block_trans = block_map(group.images_array(), design.array) is not None
     flag_trans = is_flag_transitive(group, design) if block_trans else False
     t = args.t
     lam_t = lams[t] if t in lams else lambda_of(design, t)

@@ -1,9 +1,11 @@
 """Incidence structures: t-design verification, replication arithmetic,
-block/flag transitivity, and admissibility of t >= 3 under block-transitivity.
+orbit designs, flag transitivity, and admissibility of t >= 3 under
+block-transitivity.
 
 All arithmetic is exact (integers and fractions).  A design stores its blocks
 as one read-only (b, k) int64 array in the canonical `sorted_rows` order, so
-design equality is array equality.
+design equality is array equality.  Whether a design is one orbit of a group
+is the question of `permgroup.block_map`, which sorts nothing.
 """
 
 from __future__ import annotations
@@ -25,19 +27,20 @@ _GENERAL_T_MAX_V = 40
 
 class Design:
     """A set of k-subsets (blocks) of {0, ..., v-1}: `array` is the read-only
-    (b, k) int64 block array in `sorted_rows` order, `blocks` its tuples."""
+    (b, k) int64 block array in `sorted_rows` order, `blocks` its tuples.
+    Array input is sorted in its own dtype (faster for uint8 image rows)."""
 
     __slots__ = ("v", "k", "array", "_blocks")
 
     def __init__(self, v: int, blocks: Iterable[Iterable[int]]):
         rows = blocks if isinstance(blocks, np.ndarray) else [list(blk) for blk in blocks]
         try:
-            arr = np.array(rows, dtype=np.int64)
+            arr = np.asarray(rows)
         except ValueError:  # ragged rows
             raise ValueError("blocks must all have the same number of distinct points") from None
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("a design needs at least one block")
-        arr = sorted_rows(arr)
+        arr = sorted_rows(arr).astype(np.int64, copy=False)
         if (arr[:, 1:] == arr[:, :-1]).any():
             raise ValueError("blocks must all have the same number of distinct points")
         if arr[:, 0].min() < 0 or arr[:, -1].max() >= v:
@@ -117,13 +120,13 @@ def admissible_t(v: int, k: int, t: int, group_order: int) -> bool:
 
 
 def from_base_block(G: GroupTable, base: Iterable[int]) -> Design:
-    """The orbit design (P, base^G)."""
-    blk = tuple(sorted(int(p) for p in base))
+    """The orbit design (P, base^G), sorted once, by `Design`."""
+    blk = sorted(int(p) for p in base)
     if not blk:
         raise ValueError("base block must be nonempty")
     if blk[0] < 0 or blk[-1] >= G.degree:
         raise ValueError("base block point out of range")
-    return Design(G.degree, set_orbit(G.images_array(), blk))
+    return Design(G.degree, G.images_array()[:, blk])
 
 
 def lambda_of(D: Design, t: int) -> int | None:
@@ -146,13 +149,6 @@ def lambda_of(D: Design, t: int) -> int | None:
     _, counts = np.unique(keys, return_counts=True)
     vals = np.unique(counts)
     return int(vals[0]) if len(counts) == math.comb(D.v, t) and len(vals) == 1 else None
-
-
-def is_block_transitive(G: GroupTable, D: Design) -> bool:
-    """True iff the block set is a single orbit of G."""
-    if G.degree != D.v:
-        raise ValueError("group degree must equal the point count")
-    return np.array_equal(set_orbit(G.images_array(), D.array[0]), D.array)
 
 
 def is_flag_transitive(G: GroupTable, D: Design) -> bool:

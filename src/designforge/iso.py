@@ -21,25 +21,25 @@ no b x b index of its own.
 
 A design that `iso_classes` has checked to be exactly one orbit of blocks
 under a group G it was given (every design `search.run` emits, with the
-search group) gets a `_Precomp` that knows G, and G's symmetry shortens
-three computations.  Its block histograms come from block 0's row of meets,
-which every other row permutes.  Its pair signatures come from one pair per
-G-orbit of point pairs, on which they are constant.  And refinement works
-on orbit representatives: the colouring at each backtracking depth is
-constant on the orbits of the pointwise stabilizer in G of the points
-individualized so far, so `_refine` computes each colour for one point and
-one block per orbit (one block and G's point-orbit representatives at
-depth 0) and copies it to the rest of the orbit.  For the lambda = 3
-designs of PSL(3,3) on 144 points that is 1 point and 1 block at depth 0,
-8 and 16 at depth 1, and 52 and 160 at depth 2, of 144 and 468.  Such a
-design builds `meet_index` only where backtracking reaches a trivial
-stabilizer.  Every other design, and every design that `are_isomorphic`,
-`fingerprint` or the `designforge iso` command sees, takes the b x b path:
-the histograms count the whole intersection matrix, the pair signatures
-come from one sort of every pair of every block, and every point and block
-is its own representative.  Sums of the same uint64 terms do not depend on
-their order, so both paths give the same values, colours and bijections bit
-for bit.
+search group; the check is `permgroup.block_map`) gets a `_Precomp` that
+knows G, and G's symmetry shortens three computations.  Its block
+histograms come from block 0's row of meets, which every other row
+permutes.  Its pair signatures come from one pair per G-orbit of point
+pairs, on which they are constant.  And refinement works on orbit
+representatives: the colouring at each backtracking depth is constant on
+the orbits of the pointwise stabilizer in G of the points individualized so
+far, so `_refine` computes each colour for one point and one block per
+orbit (one block and G's point-orbit representatives at depth 0) and copies
+it to the rest of the orbit.  For the lambda = 3 designs of PSL(3,3) on 144
+points that is 1 point and 1 block at depth 0, 8 and 16 at depth 1, and 52
+and 160 at depth 2, of 144 and 468.  Such a design builds `meet_index` only
+where backtracking reaches a trivial stabilizer.  Every other design, and
+every design that `are_isomorphic`, `fingerprint` or the `designforge iso`
+command sees, takes the b x b path: the histograms count the whole
+intersection matrix, the pair signatures come from one sort of every pair
+of every block, and every point and block is its own representative.  Sums
+of the same uint64 terms do not depend on their order, so both paths give
+the same values, colours and bijections bit for bit.
 
 `iso_classes` works in tiers and reuses what it learns:
 
@@ -65,26 +65,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .design import Design, order_key
-from .permgroup import GroupTable, pair_orbit_table
+from .permgroup import GroupTable, _weights, block_map, pair_orbit_table
 
 _U64 = np.uint64
-
-
-@cache
-def _weights(n: int) -> np.ndarray:
-    """n odd uint64 hash weights from one seeded draw, read-only; a longer draw
-    starts with the same values, so a row's hash depends only on the row."""
-    w = np.random.default_rng(0x5EED5EED).integers(
-        1, np.iinfo(np.int64).max, size=n, dtype=np.int64
-    ).astype(_U64) | _U64(1)
-    w.flags.writeable = False
-    return w
 
 
 def _mix(arr: np.ndarray) -> np.ndarray:
@@ -139,28 +128,6 @@ def _meet_index(meet_rows: np.ndarray, k: int) -> np.ndarray:
     return index
 
 
-def _block_of(G: GroupTable, D: Design) -> np.ndarray | None:
-    """The index in D of the block g(B0) for each element g of G, where B0 is
-    block 0, when D is exactly the G-orbit of B0; otherwise None.
-
-    Each block and each image g(B0) is keyed by the sum of its points'
-    weights, so no row is sorted.  The distinct image keys must be the block
-    keys, each once: then every block is hit, and two blocks that share a
-    key give None, never a wrong map.  The match is then checked exactly in
-    the incidence matrix: each image must lie in, so equal, its block.
-    """
-    w = _weights(D.v)
-    keys = w[D.array].sum(axis=1)
-    order = np.argsort(keys)
-    images = G.images_array()[:, D.array[0]].astype(np.intp)
-    image_keys, block_rank = np.unique(w[images].sum(axis=1), return_inverse=True)
-    if not np.array_equal(image_keys, keys[order]):
-        return None
-    block_of = order[block_rank]
-    inside = D.incidence().ravel()[(block_of * D.v)[:, None] + images].all()
-    return block_of if inside else None
-
-
 # orbits as (representatives, the position among them of each member's
 # representative); in `_OWN` every member is its own representative, and
 # indexing by its slices takes views, so the group-less path copies nothing
@@ -209,9 +176,9 @@ class _Precomp:
         self, D: Design, group: GroupTable | None = None, block_of: np.ndarray | None = None
     ):
         self.design = D
-        # a group of which D is exactly one block orbit, and `_block_of(group,
-        # D)`, which shows it (`iso_classes` computes it before passing both);
-        # or None.  The colours at depth 0 need the group alone
+        # a group of which D is exactly one block orbit, and `block_map` of
+        # them, which shows it (`iso_classes` computes it before passing
+        # both); or None.  The colours at depth 0 need the group alone
         self.group = group
         self.block_of = block_of
 
@@ -536,7 +503,7 @@ def iso_classes(designs: list[Design], group: GroupTable | None = None) -> list[
     the partition is independent of the input order.
 
     `group`, if given, only speeds the work up.  A design that is exactly
-    the G-orbit of its first block (`_block_of`, checked here once per
+    the G-orbit of its first block (`permgroup.block_map`, run here once per
     design that reaches the tiers) reads its block histograms off block 0
     and its pair signatures off one pair per G-orbit of pairs, and refines
     on stabilizer-orbit representatives; backtracking on it reads G's
@@ -544,13 +511,13 @@ def iso_classes(designs: list[Design], group: GroupTable | None = None) -> list[
     takes the b x b path, and the partition is the same with or without the
     group.
     """
-    known: dict[int, np.ndarray | None] = {}  # each design's `_block_of`, checked once
+    known: dict[int, np.ndarray | None] = {}  # each design's `block_map`, checked once
 
     def precomp(i: int) -> _Precomp:
         D = designs[i]
         if i not in known:
             one_orbit = group is not None and group.degree == D.v
-            known[i] = _block_of(group, D) if one_orbit else None
+            known[i] = block_map(group.images_array(), D.array) if one_orbit else None
         return _Precomp(D) if known[i] is None else _Precomp(D, group, known[i])
 
     label: list[int] = []  # label[i]: the first design of design i's class

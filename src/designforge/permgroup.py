@@ -1,5 +1,6 @@
 """Permutation arithmetic, cycle-notation I/O, exhaustive group materialization,
-orbits, stabilizers, and subgroup enumeration.
+orbits, the one check that a block set is one orbit (`block_map`),
+stabilizers, and subgroup enumeration.
 
 Points are 0-based internally; all text I/O (cycle notation, generator files)
 is 1-based.  Composition is left-to-right: (p * q)(x) = q(p(x)).  Groups are
@@ -12,6 +13,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -400,6 +402,45 @@ def set_orbit(rows: np.ndarray, points: Sequence[int]) -> np.ndarray:
     off in one gather with no closure.
     """
     return sorted_rows(rows[:, np.asarray(points, dtype=np.int64)])
+
+
+@cache
+def _weights(n: int) -> np.ndarray:
+    """n odd uint64 hash weights from one seeded draw, read-only; a longer draw
+    starts with the same values, so a row's hash depends only on the row."""
+    w = np.random.default_rng(0x5EED5EED).integers(
+        1, np.iinfo(np.int64).max, size=n, dtype=np.int64
+    ).astype(np.uint64) | np.uint64(1)
+    w.flags.writeable = False
+    return w
+
+
+def block_map(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray | None:
+    """The index in `blocks` of g(B0) for each element g, where B0 is
+    blocks[0], when the rows of `blocks` are exactly the orbit of B0;
+    otherwise None.  So `block_map(...) is not None` is the one-orbit check.
+
+    `rows` must hold every element of the group, as for `set_orbit`, and
+    `blocks` is a (b, k) array of points below the degree.  Each block and
+    each image g(B0) is keyed by the sum of its points' weights, so no row is
+    sorted.  The distinct image keys must be the block keys, each once: then
+    every block is hit, and two blocks that share a key give None, never a
+    wrong map.  The match is then checked exactly in the incidence matrix:
+    each image must lie in, so equal, its block.
+    """
+    b, v = len(blocks), rows.shape[1]
+    w = _weights(v)
+    keys = w[blocks].sum(axis=1)
+    order = np.argsort(keys)
+    images = rows[:, blocks[0]].astype(np.intp)
+    image_keys, block_rank = np.unique(w[images].sum(axis=1), return_inverse=True)
+    if not np.array_equal(image_keys, keys[order]):
+        return None
+    block_of = order[block_rank]
+    incidence = np.zeros((b, v), dtype=bool)
+    incidence[np.arange(b)[:, None], blocks] = True
+    inside = incidence.ravel()[(block_of * v)[:, None] + images].all()
+    return block_of if inside else None
 
 
 def orbits(H: Subgroup | GroupTable) -> list[tuple[int, ...]]:

@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .design import Design, is_flag_transitive, lambda_of, order_key
+from .design import Design, from_base_block, is_flag_transitive, lambda_of, order_key
 from .errors import CandidateExplosionError
 from .iso import iso_classes
 from .permgroup import (
@@ -181,7 +181,6 @@ def run(job: SearchJob) -> SearchResult:
     if m is None:
         return SearchResult(job, [], 0, 0, note="inadmissible block count")
     labels, sizes = pair_orbit_table(G)
-    rows = G.images_array()
     designs: list[Design] = []
     tested = 0
     for H in subgroups_of_order(G, m):
@@ -192,11 +191,8 @@ def run(job: SearchJob) -> SearchResult:
             for base in chunk[keep]:
                 if not np.array_equal(set_orbit(normalizer_rows, base)[0], base):
                     continue
-                orbit = set_orbit(rows, base)
-                if len(orbit) != job.b:
-                    continue
-                D = Design(G.degree, orbit)
-                if lambda_of(D, 2) == job.lam:
+                D = from_base_block(G, base)
+                if D.b == job.b and lambda_of(D, 2) == job.lam:
                     designs.append(D)
     # sorted, so each class's first member (classes keep input order) is its least
     designs.sort(key=order_key)
@@ -211,9 +207,10 @@ def run(job: SearchJob) -> SearchResult:
 def full_sweep(group: GroupTable, k: int) -> dict[int, SearchResult]:
     """Run the search for every divisor lambda >= 2 of k.
 
-    lambda = 1 is excluded because a block-transitive 2-(k^2,k,1) design would
-    be flag-transitive, and no flag-transitive such design exists; a single
-    `run` with lambda = 1 still searches it.
+    lambda = 1 is excluded because 2-(k^2,k,1) designs are affine planes, out
+    of the source paper's scope (AG(2,3) is flag-transitive under 3^2:SL(2,3)).
+    Neither shipped group has a subgroup of the forced order, 36 or 72, so
+    there it is empty.  A single `run` with lambda = 1 still searches it.
     """
     if k < 1:
         raise ValueError("k must be positive")

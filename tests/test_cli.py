@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -343,6 +344,20 @@ def test_verify_and_iso_reject_a_design_file(tmp_path, capsys, z7_gens, doc, mes
     assert f"error: {bad}: " in capsys.readouterr().err
     assert cli.main(["iso", "--in", str(fano), str(bad)]) == cli.EXIT_PRECONDITION
     assert message in capsys.readouterr().err
+
+
+def test_verify_a_design_that_is_not_one_orbit(tmp_path, capsys, z7_gens):
+    # every triple of 7 points: a 2-(7,3,5) design of 35 blocks, five orbits
+    # of the cyclic group of order 7
+    path, out = tmp_path / "triples.json", tmp_path / "v"
+    path.write_text(json.dumps({"v": 7, "blocks": [list(t) for t in combinations(range(1, 8), 3)]}))
+    rc = cli.main(["verify", "--gens", str(z7_gens), "--design", str(path), "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    stdout = capsys.readouterr().out
+    assert "certified 2-(7,3,5) design" in stdout
+    assert "block-transitive: False   flag-transitive: False" in stdout
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["block_transitive"] is False and report["flag_transitive"] is False
 
 
 def test_search_gens_directory(tmp_path, capsys):

@@ -146,9 +146,13 @@ def test_lambda_of_guards():
         dz.lambda_of(D, 6)
 
 
+def _one_orbit(G, D):
+    return pg.block_map(G.images_array(), D.array) is not None
+
+
 def test_block_transitivity(psl33):
     D1 = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
-    assert dz.is_block_transitive(psl33, D1)
+    assert _one_orbit(psl33, D1)
     # union of two distinct block orbits is not a single orbit
     other_base = next(
         blk
@@ -157,9 +161,9 @@ def test_block_transitivity(psl33):
     )
     D_other = dz.from_base_block(psl33, other_base)
     union = dz.Design(144, D1.blocks + D_other.blocks)
-    assert not dz.is_block_transitive(psl33, union)
+    assert not _one_orbit(psl33, union)
     trivial = pg.GroupTable.generate([pg.identity(144)])
-    assert not dz.is_block_transitive(trivial, D1)
+    assert not _one_orbit(trivial, D1)
 
 
 def test_flag_transitivity(psl33, pgl33):
@@ -227,6 +231,21 @@ def test_design_array_input(psl33):
     assert all(type(p) is int for blk in D.blocks for p in blk)
     assert D.incidence().sum(axis=1).tolist() == [D.k] * D.b
     assert D.incidence()[np.arange(D.b)[:, None], D.array].all()
+
+
+def test_design_array_dtype_contract(psl33):
+    # list input, and a group's uint8 (degree 144) and uint16 (degree 300)
+    # image rows, which are sorted in their own dtype: each is stored as one
+    # read-only int64 array, equal to the design of the same blocks as lists
+    cycle = pg.GroupTable.generate([pg.Permutation(tuple((p + 1) % 300 for p in range(300)))])
+    rows8 = psl33.images_array()[:, list(BASE_BLOCK_LAMBDA3)]
+    rows16 = cycle.images_array()[:, [0, 1, 299]]
+    assert (rows8.dtype, rows16.dtype) == (np.uint8, np.uint16)
+    for v, blocks, b in ((7, [[2, 1, 0], [6, 5, 3], [0, 2, 1]], 2), (144, rows8, 468),
+                         (300, rows16, 300)):
+        D = dz.Design(v, blocks)
+        assert D.array.dtype == np.int64 and not D.array.flags.writeable and D.b == b
+        assert D == dz.Design(v, [list(map(int, blk)) for blk in blocks])
 
 
 def test_relabel_matches_definition(psl33):

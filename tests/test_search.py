@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ def _filter_survivors(job):
 
 @pytest.mark.parametrize("group,k,lam", [("sym4", 2, 1), ("sym4", 2, 2), ("psl33", 12, 3)])
 def test_orbit_length_fixes_stabilizer_order(group, k, lam, request):
-    # search.run accepts on len(orbit) == b alone: |orbit| * |G_B| = |G|
+    # search.run accepts on D.b == b alone: |orbit| * |G_B| = |G|
     # makes that the same as |G_B| = m = |G|/b
     G = request.getfixturevalue(group)
     job = sr.SearchJob(G, k, lam)
@@ -140,6 +142,33 @@ def test_orbit_length_fixes_stabilizer_order(group, k, lam, request):
 def test_s4_lambda_1_excluded_by_default(sym4):
     results = sr.full_sweep(sym4, 2)
     assert sorted(results) == [2]
+
+
+def test_lambda_1_finds_the_affine_plane_and_nothing_on_the_shipped_groups(psl33, pgl33):
+    # a block-transitive 2-(k^2,k,1) design is an affine plane, and affine
+    # planes can be flag-transitive: 3^2:SL(2,3) on F_3^2 (point 3x + y)
+    # has one block set at lambda = 1, the 12 lines of AG(2,3), three
+    # points that sum to 0
+    def affine(f):
+        images = (f(x, y) for x in range(3) for y in range(3))
+        return pg.Permutation(tuple(3 * (a % 3) + b % 3 for a, b in images))
+
+    G = pg.GroupTable.generate(
+        [affine(lambda x, y: (x + 1, y)), affine(lambda x, y: (x + y, y)),
+         affine(lambda x, y: (y, 2 * x))]
+    )
+    assert G.order == 216
+    res = sr.run(sr.SearchJob(G, 3, 1))
+    lines = [blk for blk in combinations(range(9), 3)
+             if sum(p // 3 for p in blk) % 3 == sum(p % 3 for p in blk) % 3 == 0]
+    assert res.distinct_block_sets == 1 and res.designs[0].blocks == tuple(lines)
+    assert res.records[0].flag_transitive
+    # full_sweep skips lambda = 1 for scope, not because it is empty: on the
+    # shipped groups the forced stabilizer orders 5616/156 = 36 and
+    # 11232/156 = 72 have no subgroups, so nothing is tested
+    for H in (psl33, pgl33):
+        res = sr.run(sr.SearchJob(H, 12, 1))
+        assert (res.candidates_tested, res.distinct_block_sets, res.note) == (0, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +220,7 @@ def test_psl_lambda3_flags(psl_lambda3):
 def test_psl_lambda3_verifies(psl33, psl_lambda3):
     for D in psl_lambda3.designs:
         assert dz.lambda_of(D, 2) == 3
-        assert dz.is_block_transitive(psl33, D)
+        assert pg.block_map(psl33.images_array(), D.array) is not None
         assert D.b == 468
 
 
