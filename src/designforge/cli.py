@@ -85,6 +85,9 @@ def _parse_points(text: str) -> list[int]:
     pts = [int(tok) for tok in toks] if all(toks) else []
     if not pts or min(pts) < 1:
         raise ValueError("points are 1-based and comma-separated")
+    repeated = next((p for i, p in enumerate(pts) if p in pts[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"points are 1-based and comma-separated, each once; {repeated} repeats")
     return [p - 1 for p in pts]
 
 

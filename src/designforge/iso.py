@@ -12,20 +12,23 @@ produce a false positive; they only steer and prune the search.
 
 Per design, `_Precomp` owns every invariant: the block-intersection matrix,
 the pair signatures, the two block histograms, the stable starting colors
-and the fingerprint.  It also owns the two gather indices that `_refine`
-reads every round: the b x b `meet_index` (8 bytes an entry, 28 MB at
-b = 1872) and the (v, r_max) `point_blocks`.  Each is computed on first use
-and kept for the life of the `_Precomp`, so the bucketing, the fingerprint
-and the backtracking search share one copy, and a refinement round allocates
-no b x b index of its own.
+and the fingerprint.  The pair signatures have one path: every pair of every
+block is keyed once, one covered pair per label of point pairs is kept, and
+the meets among the blocks through it are hashed.  `_Precomp` also owns the
+two gather indices that `_refine` reads every round: the b x b `meet_index`
+(8 bytes an entry, 28 MB at b = 1872) and the (v, r_max) `point_blocks`.
+Each is computed on first use and kept for the life of the `_Precomp`, so
+the bucketing, the fingerprint and the backtracking search share one copy,
+and a refinement round allocates no b x b index of its own.
 
 A design that `iso_classes` has checked to be exactly one orbit of blocks
 under a group G it was given (every design `search.run` emits, with the
 search group; the check is `permgroup.block_map`) gets a `_Precomp` that
 knows G, and G's symmetry shortens three computations.  Its block
 histograms come from block 0's row of meets, which every other row
-permutes.  Its pair signatures come from one pair per G-orbit of point
-pairs, on which they are constant.  And refinement works on orbit
+permutes.  Its pair labels are G's orbits on point pairs, on which the
+signatures are constant, so one pair per orbit is hashed, where a design
+without G hashes every pair.  And refinement works on orbit
 representatives: the colouring at each backtracking depth is constant on
 the orbits of the pointwise stabilizer in G of the points individualized so
 far, so `_refine` computes each colour for one point and one block per
@@ -36,10 +39,10 @@ and 160 at depth 2, of 144 and 468.  Such a design builds `meet_index` only
 where backtracking reaches a trivial stabilizer.  Every other design, and
 every design that `are_isomorphic`, `fingerprint` or the `designforge iso`
 command sees, takes the b x b path: the histograms count the whole
-intersection matrix, the pair signatures come from one sort of every pair
-of every block, and every point and block is its own representative.  Sums
-of the same uint64 terms do not depend on their order, so both paths give
-the same values, colours and bijections bit for bit.
+intersection matrix, every point pair is its own label, and every point and
+block is its own representative.  Sums of the same uint64 terms do not
+depend on their order, so both paths give the same values, colours and
+bijections bit for bit.
 
 `iso_classes` works in tiers and reuses what it learns:
 
@@ -63,7 +66,6 @@ the same values, colours and bijections bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
@@ -94,21 +96,19 @@ def _row_multiset_hash(rows: np.ndarray) -> np.ndarray:
     return _mix((srt * _weights(srt.shape[1])[None, :]).sum(axis=1))
 
 
-def _pair_hashes(
-    counts: np.ndarray, on_block: np.ndarray, meet: np.ndarray, all_covered: bool
-) -> np.ndarray:
-    """One signature per point pair, where pair i lies on the counts[i]
-    blocks that follow its predecessors' in `on_block`.
+def _pair_hashes(counts: np.ndarray, on_block: np.ndarray, meet: np.ndarray) -> np.ndarray:
+    """One signature per pair label, where label i's pair lies on the
+    counts[i] blocks that follow its predecessors' in `on_block`.
 
     A pair on no block gets 0.  The pairs of one coverage count c are hashed
     together as rows of the c(c-1)/2 meets among their blocks, except that
-    a pair on one block has no meets, and outside 2-(v,k,1) designs
-    (`all_covered` with one count) its signature is the constant 1, not the
-    empty-row hash.
+    a pair on one block has no meets, and outside 2-(v,k,1) designs (every
+    label covered, all with one count) its signature is the constant 1, not
+    the empty-row hash.
     """
     starts = np.cumsum(counts) - counts
     coverages = np.unique(counts[counts > 0])
-    lam = int(coverages[0]) if all_covered and len(coverages) == 1 else None
+    lam = int(coverages[0]) if counts.all() and len(coverages) == 1 else None
     hashes = np.zeros(len(counts), dtype=_U64)
     for c in coverages:
         sel = counts == c
@@ -258,41 +258,35 @@ class _Precomp:
         functions of S, and the stable colors, which start from S's row
         hashes, see them.
 
-        With no group, every pair of every block is keyed once, and sorting
-        the keys groups the blocks through each pair.  With a group G of which
-        the design is one block orbit, S is constant on the G-orbits of point
-        pairs (g maps the blocks through {p, q} onto those through {gp, gq}
-        and keeps every meet), so one pair per orbit is hashed and S is read
-        off `pair_orbit_table(G)`'s labels.
+        Every pair of every block is keyed once, block by block, and each
+        key maps to a label, on whose pairs S is constant.  One covered pair
+        per label is kept, sorting its keys by label groups the blocks
+        through it, and S is read off the labels.  Which pair, and which
+        order of its blocks, does not matter: the meets are hashed as a
+        multiset.  The group only picks the labels.  With no group every
+        unordered pair is its own label; with a group G of which the design
+        is one block orbit they are `pair_orbit_table(G)`'s G-orbits of
+        point pairs (g maps the blocks through {p, q} onto those through
+        {gp, gq} and keeps every meet).
         """
         D = self.design
         v = D.v
-        diagonal = _mix(np.bincount(D.array.ravel(), minlength=v))
         if self.group is None:
-            iu, ju = np.triu_indices(D.k, k=1)
-            keys = (D.array[:, iu] * v + D.array[:, ju]).ravel()
-            order = np.argsort(keys)
-            pair_keys, counts = np.unique(keys[order], return_counts=True)
-            hashes = _pair_hashes(
-                counts,
-                order // len(iu),  # blocks through each pair, pair by pair
-                self.meet,
-                all_covered=len(pair_keys) == math.comb(v, 2),
-            )
-            ps, qs = np.divmod(pair_keys, v)
-            S = np.diag(diagonal)
-            S[ps, qs] = S[qs, ps] = hashes
-            return S
-        labels, sizes = pair_orbit_table(self.group)
-        iu, ju = np.triu_indices(v, k=1)
-        pair = np.empty(len(sizes), dtype=np.intp)
-        pair[labels[iu, ju]] = np.arange(len(iu))  # one pair of each orbit, whichever
-        inc = D.incidence()
-        on = inc[:, iu[pair]] & inc[:, ju[pair]]  # (b, orbits): blocks through each pair
-        counts = np.count_nonzero(on, axis=0)
-        hashes = _pair_hashes(counts, np.nonzero(on.T)[1], self.meet, all_covered=counts.all())
-        S = hashes[labels]  # labels[p, p] is -1: the diagonal is set next
-        S[np.diag_indices(v)] = diagonal
+            labels = np.zeros((v, v), dtype=np.intp)
+            labels[np.triu(np.ones((v, v), dtype=bool), 1)] = np.arange(1, v * (v - 1) // 2 + 1)
+            labels += labels.T - 1  # the diagonal is -1
+        else:
+            labels = pair_orbit_table(self.group)[0]
+        iu, ju = np.triu_indices(D.k, k=1)
+        keys = (D.array[:, iu] * v + D.array[:, ju]).ravel()  # block by block
+        of_key = labels.ravel()[keys]
+        pick = np.empty(labels.max() + 1, dtype=keys.dtype)
+        pick[of_key] = keys  # one covered pair of each label, whichever
+        kept = np.flatnonzero(keys == pick[of_key])
+        counts = np.bincount(of_key[kept], minlength=len(pick))
+        on_block = kept[np.argsort(of_key[kept])] // len(iu)  # label by label
+        S = np.append(_pair_hashes(counts, on_block, self.meet), _U64(0))[labels]
+        S[np.diag_indices(v)] = _mix(np.bincount(D.array.ravel(), minlength=v))
         return S
 
     @cached_property

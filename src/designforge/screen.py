@@ -125,7 +125,8 @@ class PrimePower:
     f: int
 
     def __post_init__(self) -> None:
-        prime_power_decomposition(self.p**self.f)  # validates p prime, f >= 1
+        if not is_prime(self.p) or self.f < 1:
+            raise ValueError(f"p = {self.p}, f = {self.f}: p must be prime and f >= 1")
 
     @property
     def q(self) -> int:
@@ -919,6 +920,8 @@ def _adhoc_cases(family: str, n: int, q: int) -> list[CaseSpec]:
             for t in divisors(n)
             if is_prime(t)
         ]
+    elif family == "C4":
+        out = [_case("C4", n, q, i=i) for i in divisors(n) if 1 < i and i * i < n]
     elif family == "C5":
         p, f = prime_power_decomposition(q)
         for u in sorted(factorize(f)):
@@ -930,6 +933,13 @@ def _adhoc_cases(family: str, n: int, q: int) -> list[CaseSpec]:
                 i += 1
             if omega**i == n:
                 out.append(_case("C6", n, q, i=i, omega=omega))
+    elif family == "C7":
+        for i in range(3, math.isqrt(n) + 1):
+            ell = 2
+            while i**ell < n:
+                ell += 1
+            if i**ell == n:
+                out.append(_case("C7", n, q, i=i, ell=ell))
     elif family == "C8s":
         if n % 2 == 0:
             out = [_case("C8s", n, q)]

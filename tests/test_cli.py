@@ -229,8 +229,12 @@ def test_verify_base_block(capsys):
 
 @pytest.mark.parametrize(
     "base",
-    ["3,,7,29,30,67,68,84,96,100,101,107,134", "3,7,29,30,67,68,84,96,100,101,107,134,"],
-    ids=["empty-token", "trailing-comma"],
+    [
+        "3,,7,29,30,67,68,84,96,100,101,107,134",
+        "3,7,29,30,67,68,84,96,100,101,107,134,",
+        "1,1,2",
+    ],
+    ids=["empty-token", "trailing-comma", "repeated-point"],
 )
 def test_verify_base_block_rejects_an_empty_token(capsys, base):
     rc = cli.main(["verify", "--gens", data_path("psl33.gens"), "--base-block", base])

@@ -155,7 +155,14 @@ def _pair_signatures_by_point(D: dz.Design) -> np.ndarray:
 
 
 def test_pair_signatures_match_per_point_definition(psl33):
-    designs = [FANO, dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3), *_random_designs(30, 7)]
+    # the last two: no point pair at all, and a pair that no block covers
+    designs = [
+        FANO,
+        dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3),
+        *_random_designs(30, 7),
+        dz.Design(1, [(0,)]),
+        dz.Design(2, [(0,), (1,)]),
+    ]
     for D in designs:
         assert np.array_equal(iso._Precomp(D).pairs, _pair_signatures_by_point(D))
 

@@ -336,6 +336,26 @@ def test_adhoc_case_factored_over_cyclotomic_values():
     assert reports[1].v_factorization == "3·5·7·13·8191"
 
 
+@pytest.mark.parametrize(
+    ("n", "family", "params"), [(8, "C4", (("i", 2),)), (9, "C7", (("ell", 2), ("i", 3)))]
+)
+def test_adhoc_c4_and_c7_cases(n, family, params):
+    # (8, 5) and (9, 5) lie outside the default ranges of C4 and C7
+    reports = sc.case_screen([family], n_filter=n, q_filter=5)
+    assert [r.case.params for r in reports] == [params]
+    assert "outside the default ranges; exploratory" in reports[0].notes
+
+
+@pytest.mark.parametrize(("p", "f"), [(4, 1), (8, 2), (6, 1), (2, 0)])
+def test_prime_power_rejects_a_composite_p_or_f_below_1(p, f):
+    with pytest.raises(ValueError, match=f"p = {p}, f = {f}"):
+        sc.PrimePower(p, f)
+
+
+def test_prime_power_accepts_a_prime_p():
+    assert sc.PrimePower(2, 3).q == 8
+
+
 def test_screen_reports_pinned(all_reports):
     # sha256 of every report's full JSON form: orders, bounds, gates,
     # subdegrees and notes as well as the point counts
