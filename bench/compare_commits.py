@@ -25,14 +25,16 @@ lambda=3 and lambda=6 reference designs, read by name (v, b, k, the
 intersection, block-profile and stable-color histograms, so a checkout whose
 Fingerprint has more fields gives the same digest), and the bijections of
 tests/test_iso.py::test_bijections_pinned.  `digests(checkout)` computes these
-outputs alone (CI runs it).  The JSON written to --out holds every run, the
-median and quartiles of each end-to-end metric, and in how many pairs the
-change was lower.
+outputs alone, and `check_digests(checkout)` prints them and returns 1 when
+the search files differ from SEARCH_FILES_SHA256 (CI runs it).  The JSON
+written to --out holds every run, the median and quartiles of each
+end-to-end metric, and in how many pairs the change was lower.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -146,6 +148,24 @@ def digests(checkout: Path) -> dict:
         proc = subprocess.run([sys.executable, "-c", _DIGESTS, out], env=env,
                               capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# sha256 of json.dumps(digests(...)["search_files_sha256"], sort_keys=True):
+# the bytes of every file but manifest.json that `designforge search --k 12
+# --all` writes for psl33.gens (93 files) and pgl33.gens (2 files)
+SEARCH_FILES_SHA256 = "66180eccab94b6f7efd8e86195bed3724461f77ac65284c7000b3d6f14d23b9b"
+
+
+def check_digests(checkout: Path) -> int:
+    """Print the checkout's digests; 1 if its search files differ from the pin."""
+    doc = digests(checkout)
+    print(json.dumps(doc))
+    got = hashlib.sha256(
+        json.dumps(doc["search_files_sha256"], sort_keys=True).encode()).hexdigest()
+    if got != SEARCH_FILES_SHA256:
+        print(f"search files sha256 {got}, pinned {SEARCH_FILES_SHA256}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def quartiles(values: list[float]) -> dict:

@@ -46,12 +46,17 @@ bijections bit for bit.
 
 `iso_classes` works in tiers and reuses what it learns:
 
-* Reuse.  Every bijection found by backtracking is kept with its inverse,
-  and each later design is relabelled by the kept ones and looked up among
-  the block sets already visited.  A hit is a verified isomorphism: the
-  exact block-set match is the certificate.  Designs whose full automorphism
-  group is G can only be isomorphic through the normalizer of G, so one
-  learned bijection outside G settles every pair it relates.
+* Reuse.  The kept bijections start as the elements of N_{S_v}(G) outside
+  G that `permgroup.sym_normalizer_gens` returns for the group G given
+  (each s, and s^-1 unless s^2 is in G), computed only when two or more
+  designs of G's degree arrive.  Every bijection found by backtracking is
+  kept with its inverse.  Each later design is relabelled by the kept ones
+  and looked up among the block sets already visited.  A hit is a verified
+  isomorphism: the exact block-set match is the certificate, so a kept map
+  needs no proof that it is one.  s maps a G-invariant design onto a
+  G-invariant design, so the search output of a group whose normalizer
+  pairs its block sets (the lambda = 3 pair and the 182 lambda = 12 block
+  sets of PSL(3,3) on 144 points) merges with no backtracking.
 * Tiers.  A design that no kept bijection settles is compared with the
   class representatives: first the intersection and block-profile
   histograms (from block 0 on the short path, from the intersection matrix
@@ -73,7 +78,7 @@ from itertools import chain
 import numpy as np
 
 from .design import Design, order_key
-from .permgroup import GroupTable, _weights, block_map, pair_orbit_table
+from .permgroup import GroupTable, _weights, block_map, pair_orbit_table, sym_normalizer_gens
 
 _U64 = np.uint64
 
@@ -496,14 +501,15 @@ def iso_classes(designs: list[Design], group: GroupTable | None = None) -> list[
     ordered by the lexicographically least canonical block set they contain;
     the partition is independent of the input order.
 
-    `group`, if given, only speeds the work up.  A design that is exactly
-    the G-orbit of its first block (`permgroup.block_map`, run here once per
-    design that reaches the tiers) reads its block histograms off block 0
-    and its pair signatures off one pair per G-orbit of pairs, and refines
-    on stabilizer-orbit representatives; backtracking on it reads G's
-    multiplication table, which `search.run` has built.  Any other design
-    takes the b x b path, and the partition is the same with or without the
-    group.
+    `group`, if given, only speeds the work up.  Its normalizer elements
+    seed the kept bijections when two or more designs have its degree.  A
+    design that is exactly the G-orbit of its first block
+    (`permgroup.block_map`, run here once per design that reaches the
+    tiers) reads its block histograms off block 0 and its pair signatures
+    off one pair per G-orbit of pairs, and refines on stabilizer-orbit
+    representatives; backtracking on it reads G's multiplication table,
+    which `search.run` has built.  Any other design takes the b x b path,
+    and the partition is the same with or without the group.
     """
     known: dict[int, np.ndarray | None] = {}  # each design's `block_map`, checked once
 
@@ -517,6 +523,14 @@ def iso_classes(designs: list[Design], group: GroupTable | None = None) -> list[
     label: list[int] = []  # label[i]: the first design of design i's class
     visited: dict[Design, int] = {}
     learned: dict[bytes, np.ndarray] = {}
+    if group is not None and sum(D.v == group.degree for D in designs) > 1:
+        # s maps each G-invariant design onto a G-invariant design, and s^-1
+        # maps it as s does when s^2 is in G, since then s^-1 is in sG
+        for s in sym_normalizer_gens(group):
+            sigma = np.array(s.images, dtype=np.int64)
+            maps = (sigma,) if s * s in group else (sigma, np.argsort(sigma))
+            for g in maps:
+                learned.setdefault(g.tobytes(), g)
     reps: dict[tuple, list[int]] = {}  # block histograms -> class representatives
     fps: dict[int, Fingerprint] = {}  # made on first need
     for i, D in enumerate(designs):

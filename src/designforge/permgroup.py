@@ -1,6 +1,7 @@
 """Permutation arithmetic, cycle-notation I/O, exhaustive group materialization,
 orbits, the one check that a block set is one orbit (`block_map`),
-stabilizers, and subgroup enumeration.
+stabilizers, the normalizer in the symmetric group (`sym_normalizer_gens`),
+and subgroup enumeration.
 
 Points are 0-based internally; all text I/O (cycle notation, generator files)
 is 1-based.  Composition is left-to-right: (p * q)(x) = q(p(x)).  Groups are
@@ -214,6 +215,7 @@ class GroupTable:
         self._powers: np.ndarray | None = None
         self._class_labels: np.ndarray | None = None
         self._pair_orbits: tuple[np.ndarray, np.ndarray] | None = None
+        self._normalizer_gens: tuple[Permutation, ...] | None = None
         # the subgroup lattice found so far: order d -> the record of every
         # conjugacy class of order d, sorted by least member; an order is a
         # key only once all its classes are known
@@ -273,6 +275,13 @@ class GroupTable:
             if i < self.order and np.array_equal(self._imgs[i], row):
                 return i
         raise ValueError("permutation is not an element of this group")
+
+    def __contains__(self, p: Permutation) -> bool:
+        try:
+            self.index_of(p)
+        except ValueError:
+            return False
+        return True
 
     def images_array(self) -> np.ndarray:
         """(order, degree) read-only array of image rows, lexicographically sorted."""
@@ -472,6 +481,148 @@ def pair_orbit_table(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
                 sizes.append(len(orbit))
         G._pair_orbits = (labels, np.array(sizes, dtype=np.int64))
     return G._pair_orbits
+
+
+def sym_normalizer_gens(G: GroupTable) -> tuple[Permutation, ...]:
+    """Point permutations outside G that, with G, generate N_{S_v}(G), the
+    normalizer of G in the symmetric group on its points; computed once per
+    group and kept on it.  Empty when G is intransitive or N = G.
+
+    A permutation s normalizes G iff s^-1 g s (left to right: s^-1, then
+    g, then s) is in G for every generator g.  Then g -> s^-1 g s is an
+    automorphism a of G, and s maps point 0 to a point p with a(G_0) = G_p,
+    the point stabilizers.  Conversely, the images h_i = a(g_i) of G's
+    generators and the point p = s(0) fix s on G's one point orbit: s(g_i(q))
+    = h_i(s(q)).  So the search runs over automorphisms, as the images of
+    the generators, and over p:
+
+    * Automorphisms are found one per coset of the inner ones: an inner
+      automorphism is conjugation by an element of G, and s is wanted only
+      modulo G.  The first image runs over one element (the least)
+      of each conjugacy class with g_1's order and class size.  Each later
+      image runs over the elements with g_i's order and class size whose
+      products h_j x and h_j^-1 x with the images already chosen have the
+      orders of g_j g_i and g_j^-1 g_i, one element per orbit of the
+      centralizer of the images already chosen.
+    * Each choice spreads s from s(0) = p, for every p at once, along a
+      breadth-first tree of the point orbit.  A row is kept when s is a
+      bijection and s(g_i(q)) = h_i(s(q)) holds on every point and
+      generator, which is the check that s normalizes G.  For a choice that
+      is no automorphism, or one that maps G_0 to a non-stabilizer (the
+      point-line swap of PSL(3,2) on 7 points), no row passes.  For the
+      choice in the coset of the inner automorphisms, the rows that pass
+      are one element of G times each element of C_{S_v}(G), the
+      centralizer, one row per point that G_0 fixes.
+
+    A row is kept when it is not in the subgroup that G and the rows kept
+    so far generate, tested on the quotient by G: the coset sG is keyed by
+    the least image row of its elements that fix point 0.
+    """
+    if G._normalizer_gens is None:
+        G._normalizer_gens = _normalizer_gens(G)
+    return G._normalizer_gens
+
+
+def _normalizer_gens(G: GroupTable) -> tuple[Permutation, ...]:
+    rows = G.images_array()
+    v = G.degree
+    points = np.arange(v)
+    gens = np.array(sorted({G.index_of(g) for g in G.generators} - {0}), dtype=np.intp)
+    if len(np.unique(rows[:, 0])) < v or not len(gens):
+        return ()  # intransitive, or the trivial group on one point
+    gen_rows = rows[gens].astype(np.intp)
+    # breadth-first tree of point 0: each layer's new points, their parents
+    # and the generator that maps parent to point
+    tree = []
+    seen = np.zeros(v, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while len(frontier):
+        kids = gen_rows[:, frontier].ravel()  # generator by generator
+        new = ~seen[kids]
+        kids, first = np.unique(kids[new], return_index=True)
+        seen[kids] = True
+        which, at = np.divmod(np.flatnonzero(new)[first], len(frontier))
+        tree.append((kids, frontier[at], which))
+        frontier = kids
+
+    # column (c, p) of s is spread from s(0) = p for the c-th choice of
+    # images; h[col + i v + x] is h_i(x) for that choice
+    h = rows[np.array(list(_automorphism_images(G, gens)))].astype(np.intp)
+    col = np.repeat(np.arange(len(h)) * h[0].size, v)
+    h = h.ravel()
+    s = np.empty((v, len(col)), dtype=np.intp)
+    s[0] = np.resize(points, len(col))
+    for kids, parents, which in tree:
+        s[kids] = h[col + (which * v)[:, None] + s[parents]]
+    agree = np.ones(len(col), dtype=bool)
+    for i, g in enumerate(gen_rows):
+        agree &= (s[g] == h[col + i * v + s]).all(axis=0)
+    s = s[:, agree]
+    candidates = s[:, (np.sort(s, axis=0) == points[:, None]).all(axis=0)].T
+
+    T = G.mul_table()
+    stab = np.flatnonzero(rows[:, 0] == 0)
+    xs = np.searchsorted(rows[:, 0], points)  # x_p(0) = p; rows[:, 0] is sorted
+
+    def coset_key(s: np.ndarray) -> bytes:
+        # the elements g s of sG = Gs that fix 0: g(0) = s^-1(0) = a, so g
+        # runs over G_0 x_a
+        a = int(np.flatnonzero(s == 0)[0])
+        members = s[rows[T[stab, xs[a]]]].astype(rows.dtype)
+        return np.sort(_row_keys(members))[0].tobytes()
+
+    kept: list[np.ndarray] = []
+    quotient = [points]  # one element of each coset of G in <G, kept>
+    seen_keys = {coset_key(points)}
+    for s in candidates:
+        if coset_key(s) in seen_keys:
+            continue
+        kept.append(s)
+        head = 0
+        while head < len(quotient):
+            x = quotient[head]
+            head += 1
+            for t in kept:
+                y = t[x]  # x then t
+                key = coset_key(y)
+                if key not in seen_keys:
+                    seen_keys.add(key)
+                    quotient.append(y)
+    return tuple(Permutation(tuple(s.tolist())) for s in kept)
+
+
+def _automorphism_images(G: GroupTable, gens: np.ndarray):
+    """Yield candidate images (h_1, ..., h_r) of the generators `gens`, as
+    element indices, one per coset of the inner automorphisms among those
+    that are automorphisms; see `sym_normalizer_gens`."""
+    T = G.mul_table()
+    inv = G.inverse_indices()
+    orders = G.element_orders()
+    labels = _class_labels(G)
+    sizes = np.bincount(labels, minlength=G.order)[labels]
+    r = len(gens)
+    like = (orders == orders[gens[:, None]]) & (sizes == sizes[gens[:, None]])
+
+    def extend(chosen: tuple[int, ...], cent: np.ndarray):
+        i = len(chosen)
+        if i == r:
+            yield chosen
+            return
+        mask = like[i].copy()
+        for j, h in enumerate(chosen):
+            mask &= orders[T[h]] == orders[T[gens[j], gens[i]]]
+            mask &= orders[T[inv[h]]] == orders[T[inv[gens[j]], gens[i]]]
+        xs = np.flatnonzero(mask)
+        if i == 0:
+            xs = xs[labels[xs] == xs]  # the least element of each class
+        elif len(xs):
+            # the least of each orbit under conjugation by cent
+            xs = np.unique(T[T[inv[cent][:, None], xs], cent[:, None]].min(axis=0))
+        for x in xs.tolist():
+            yield from extend(chosen + (x,), cent[T[cent, x] == T[x, cent]])
+
+    yield from extend((), np.arange(G.order))
 
 
 def set_stabilizer(G: GroupTable, points: Iterable[int]) -> Subgroup:

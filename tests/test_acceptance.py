@@ -164,6 +164,24 @@ def test_iso_orbit_path_matches_the_bxb_path(psl33, pgl33, psl_sweep):
             assert orbit.fingerprint == plain.fingerprint
 
 
+def test_iso_lambda12_pairs_by_the_normalizer(psl33, psl_sweep, monkeypatch):
+    # sigma maps each of the 91 representatives onto the other block set of
+    # its class, so the 182 block sets are the representatives and their
+    # sigma-images.  With the group, the kept tier pairs them and no design
+    # reaches backtracking; without it, the partition is the same, since
+    # sigma is an isomorphism and the sweep keeps the 91 apart
+    (sigma,) = pg.sym_normalizer_gens(psl33)
+    reps = psl_sweep[0][12].designs
+    designs = reps + [D.relabel(sigma.images) for D in reps]
+    assert len(set(designs)) == 182
+    searches = []
+    real = iso._are_isomorphic
+    monkeypatch.setattr(iso, "_are_isomorphic", lambda *a: searches.append(1) or real(*a))
+    classes = iso.iso_classes(designs, group=psl33)
+    assert sorted(classes) == [[i, i + 91] for i in range(91)]
+    assert searches == []
+
+
 # per class of order-3 subgroups H, in class order: |N_G(H)|, filter
 # survivors, canonical survivors (least in their N_G(H)-orbit), accepted designs
 LAMBDA12_AUDIT = [(18, 1056, 176, 174), (108, 288, 8, 8)]

@@ -415,6 +415,36 @@ def test_iso_classes_reuses_a_learned_bijection(monkeypatch):
     assert len(searches) == 1
 
 
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(iso, name)
+    monkeypatch.setattr(iso, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_iso_classes_merges_the_lambda3_pair_by_the_normalizer(psl33, monkeypatch):
+    # sigma, the element of N_{S_144}(G) outside G, maps one lambda = 3 block
+    # set onto the other, so the kept tier merges them with no backtracking
+    pair = [dz.from_base_block(psl33, b) for b in (BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA3_TWIN)]
+    group_less = iso.iso_classes(pair)
+    searches = _counting(monkeypatch, "_are_isomorphic")
+    assert iso.iso_classes(pair, group=psl33) == group_less == [[0, 1]]
+    assert searches == []
+
+
+def test_iso_classes_runs_the_normalizer_search_only_for_two_designs(psl33, monkeypatch):
+    calls = _counting(monkeypatch, "sym_normalizer_gens")
+    D = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
+    fano = dz.Design(
+        7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    )
+    assert iso.iso_classes([D], group=psl33) == [[0]]
+    assert iso.iso_classes([D, fano], group=psl33) == [[1], [0]]  # one of degree 144
+    assert calls == []
+    assert iso.iso_classes([D, D], group=psl33) == [[0, 1]]
+    assert calls == [1]
+
+
 # an invariant 12-set of the lambda = 3 base block's stabilizer (0-based):
 # its psl33 orbit has 468 blocks, and next to the lambda = 3 design's blocks
 # they meet the union's blocks in another profile

@@ -5,14 +5,16 @@ import json
 import random
 import time
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from designforge import data_path
+from designforge import design as dz
 from designforge import permgroup as pg
 
-from conftest import BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA6
+from conftest import BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA3_TWIN, BASE_BLOCK_LAMBDA6
 
 
 # ---------------------------------------------------------------------------
@@ -654,3 +656,66 @@ def test_lagrange_on_enumerated_subgroups(psl33):
     for m in (2, 3, 4, 6, 9, 12):
         for sub in pg.subgroups_of_order(psl33, m):
             assert psl33.order % sub.order == 0
+
+
+def _brute_normalizer(G: pg.GroupTable) -> set[bytes]:
+    """Every permutation s of the points with s^-1 g s in G for each generator g."""
+    members = {row.tobytes() for row in G.images_array()}
+    gens = [np.array(g.images) for g in G.generators]
+    found = set()
+    for s in permutations(range(G.degree)):
+        s = np.array(s, dtype=G.images_array().dtype)
+        s_inv = np.argsort(s).astype(s.dtype)
+        if all(s[g[s_inv]].tobytes() in members for g in gens):
+            found.add(s.tobytes())
+    return found
+
+
+@pytest.mark.parametrize(
+    "degree, cycles, index",
+    [
+        (4, ("(1,2,3)", "(2,3,4)"), 2),  # A4
+        (5, ("(1,2,3,4,5)", "(2,5)(3,4)"), 2),  # D5
+        (7, ("(1,2,3,4,5,6,7)",), 6),  # C7
+        # S3 acting regularly: Out(S3) = 1, so all of it is the centralizer
+        (6, ("(1,2)(3,4)(5,6)", "(1,3,5)(2,6,4)"), 6),
+        # PSL(3,2): its outer automorphism swaps points and lines, so it
+        # maps the point stabilizer to a subgroup that fixes no point
+        (7, ("(1,2,3,4,5,6,7)", "(3,5)(6,7)"), 1),
+    ],
+    ids=["A4", "D5", "C7", "S3-regular", "PSL(3,2)"],
+)
+def test_sym_normalizer_gens_brute_force(degree, cycles, index):
+    G = pg.GroupTable.generate([pg.parse_cycles(c, degree) for c in cycles])
+    N = _brute_normalizer(G)
+    assert len(N) == index * G.order
+    sigmas = pg.sym_normalizer_gens(G)
+    assert not any(s in G for s in sigmas)
+    closure = pg.GroupTable.generate(list(G.generators) + list(sigmas))
+    assert {row.tobytes() for row in closure.images_array()} == N
+    assert pg.sym_normalizer_gens(G) is sigmas  # kept on the group
+
+
+def test_sym_normalizer_gens_intransitive():
+    G = pg.GroupTable.generate([pg.parse_cycles("(1,2)", 5), pg.parse_cycles("(3,4,5)", 5)])
+    assert len(_brute_normalizer(G)) == 2 * G.order
+    assert pg.sym_normalizer_gens(G) == ()
+
+
+def test_sym_normalizer_gens_shipped_groups(psl33, pgl33):
+    # psl33's normalizer is the extension by the graph automorphism, of
+    # order 11232, and sigma swaps the two lambda = 3 block sets; pgl33 is
+    # its own normalizer
+    (sigma,) = pg.sym_normalizer_gens(psl33)
+    assert sigma not in psl33
+    assert pg.GroupTable.generate(list(psl33.generators) + [sigma]).order == 11232
+    twin = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3_TWIN)
+    assert dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3).relabel(sigma.images) == twin
+    assert pg.sym_normalizer_gens(pgl33) == ()
+
+
+def test_group_contains():
+    G = pg.GroupTable.generate([pg.parse_cycles("(1,2,3)", 4)])
+    assert pg.parse_cycles("(1,3,2)", 4) in G
+    assert pg.parse_cycles("(1,2)", 4) not in G
+    assert pg.parse_cycles("(1,2)", 3) not in G
