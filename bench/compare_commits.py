@@ -49,7 +49,8 @@ TRACED_LAYERS = {
                    "screen.case_screen_s"),
     "psl33-small-lambda": ("permgroup.mul_table_s", "permgroup.subgroups_s",
                            "permgroup.subgroups_calls", "permgroup.subgroup_classes",
-                           "search.run_s", "iso.iso_classes_s"),
+                           "search.run_s", "search.self_s", "search.candidates_tested",
+                           "design.lambda_of_s", "iso.iso_classes_s"),
 }
 
 # run inside a checkout: the label-and-factorization digest of

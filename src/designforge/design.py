@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .permgroup import GroupTable, set_orbit, set_stabilizer, sorted_rows
+from .permgroup import GroupTable, Subgroup, _distinct, set_orbit, set_stabilizer, sorted_rows
 
 # t-subset enumeration guard: general t only at desk scale
 _GENERAL_T_MAX_V = 40
@@ -119,14 +119,27 @@ def admissible_t(v: int, k: int, t: int, group_order: int) -> bool:
     return group_order % ratio.numerator == 0
 
 
-def from_base_block(G: GroupTable, base: Iterable[int]) -> Design:
-    """The orbit design (P, base^G), sorted once, by `Design`."""
+def from_base_block(G: GroupTable, base: Iterable[int], H: Subgroup | None = None) -> Design:
+    """The orbit design (P, base^G), sorted once, by `Design`.
+
+    With H, a subgroup of G that fixes the base block B setwise (H <= G_B),
+    the orbit is read from one element of each right coset H*g, its least,
+    so from |G:H| rows: B's image under h*g (h, then g) is g(h(B)) = g(B).
+    That gives the orbit only under that condition; when G_B is larger than
+    H the design still has |G:G_B| blocks, as without H.
+    """
     blk = sorted(int(p) for p in base)
     if not blk:
         raise ValueError("base block must be nonempty")
     if blk[0] < 0 or blk[-1] >= G.degree:
         raise ValueError("base block point out of range")
-    return Design(G.degree, G.images_array()[:, blk])
+    rows = G.images_array()
+    if H is not None:
+        if H.parent is not G:
+            raise ValueError("H must be a subgroup of G")
+        # column g of T[H] is the coset H*g, so its minimum is the coset's least
+        rows = rows[_distinct(G.mul_table()[np.array(H.indices)].min(axis=0), G.order)]
+    return Design(G.degree, rows[:, blk])
 
 
 def lambda_of(D: Design, t: int) -> int | None:
@@ -145,10 +158,12 @@ def lambda_of(D: Design, t: int) -> int | None:
     binom = np.array(
         [[math.comb(s, i) for s in range(D.v)] for i in range(1, t + 1)], dtype=np.int64
     )
+    n_subsets = math.comb(D.v, t)
+    if D.b * len(combos) < n_subsets:
+        return None  # some t-subset lies on no block
     keys = binom[np.arange(t), D.array[:, combos]].sum(axis=-1)
-    _, counts = np.unique(keys, return_counts=True)
-    vals = np.unique(counts)
-    return int(vals[0]) if len(counts) == math.comb(D.v, t) and len(vals) == 1 else None
+    counts = np.bincount(keys.ravel(), minlength=n_subsets)
+    return int(counts[0]) if counts[0] and (counts == counts[0]).all() else None
 
 
 def is_flag_transitive(G: GroupTable, D: Design) -> bool:

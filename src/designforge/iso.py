@@ -58,12 +58,16 @@ bijections bit for bit.
   pairs its block sets (the lambda = 3 pair and the 182 lambda = 12 block
   sets of PSL(3,3) on 144 points) merges with no backtracking.
 * Tiers.  A design that no kept bijection settles is compared with the
-  class representatives: first the intersection and block-profile
-  histograms (from block 0 on the short path, from the intersection matrix
-  otherwise), then the histogram of the stable colors, then backtracking.
+  class representatives of its v, b and k: first the intersection and
+  block-profile histograms (from block 0 on the short path, from the
+  intersection matrix otherwise), then the histogram of the stable colors,
+  then backtracking.
   Pair signatures and colors, and on the short path the intersection
   matrix too, are built only for designs that reach the second tier, and
-  each `_Precomp` lives only while its design is being compared.
+  each `_Precomp` lives only while its design is being compared.  A design
+  that opens a class is checked and gets its histograms only once a later
+  design reaches it, so a class whose only other members merge by a kept
+  bijection (the lambda = 3 pair) costs nothing in the tiers.
 * Negative answers come only from a mismatched invariant or an exhausted
   backtracking search.  A kept bijection that finds no match decides
   nothing.
@@ -504,10 +508,10 @@ def iso_classes(designs: list[Design], group: GroupTable | None = None) -> list[
     `group`, if given, only speeds the work up.  Its normalizer elements
     seed the kept bijections when two or more designs have its degree.  A
     design that is exactly the G-orbit of its first block
-    (`permgroup.block_map`, run here once per design that reaches the
-    tiers) reads its block histograms off block 0 and its pair signatures
-    off one pair per G-orbit of pairs, and refines on stabilizer-orbit
-    representatives; backtracking on it reads G's multiplication table,
+    (`permgroup.block_map`, run here once per design that is compared in
+    the tiers) reads its block histograms off block 0 and its pair
+    signatures off one pair per G-orbit of pairs, and refines on
+    stabilizer-orbit representatives; backtracking on it reads G's multiplication table,
     which `search.run` has built.  Any other design takes the b x b path,
     and the partition is the same with or without the group.
     """
@@ -531,8 +535,11 @@ def iso_classes(designs: list[Design], group: GroupTable | None = None) -> list[
             maps = (sigma,) if s * s in group else (sigma, np.argsort(sigma))
             for g in maps:
                 learned.setdefault(g.tobytes(), g)
-    reps: dict[tuple, list[int]] = {}  # block histograms -> class representatives
-    fps: dict[int, Fingerprint] = {}  # made on first need
+    reps: dict[tuple[int, int, int], list[int]] = {}  # (v, b, k) -> class representatives
+    # block histograms and fingerprints, made on first need: a class opener
+    # gets them only once a later design reaches its bucket
+    hists: dict[int, tuple] = {}
+    fps: dict[int, Fingerprint] = {}
     for i, D in enumerate(designs):
         images = chain([D], (D.relabel(pi) for pi in learned.values() if len(pi) == D.v))
         hit = next((visited[E] for E in images if E in visited), None)
@@ -540,12 +547,19 @@ def iso_classes(designs: list[Design], group: GroupTable | None = None) -> list[
         if hit is not None:
             label.append(label[hit])
             continue
-        pre = precomp(i)
-        bucket = reps.setdefault((D.v, D.b, D.k, pre.block_histograms), [])
+        bucket = reps.setdefault((D.v, D.b, D.k), [])
+        if bucket:
+            pre = precomp(i)
+            hists[i] = pre.block_histograms
         for r in bucket:
             r_pre = None
-            if r not in fps:
+            if r not in hists:
                 r_pre = precomp(r)
+                hists[r] = r_pre.block_histograms
+            if hists[r] != hists[i]:
+                continue
+            if r not in fps:
+                r_pre = r_pre or precomp(r)
                 fps[r] = r_pre.fingerprint
             fps[i] = pre.fingerprint
             if fps[r] != fps[i]:

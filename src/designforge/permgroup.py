@@ -7,6 +7,14 @@ Points are 0-based internally; all text I/O (cycle notation, generator files)
 is 1-based.  Composition is left-to-right: (p * q)(x) = q(p(x)).  Groups are
 materialized as full sorted element lists; the enumeration cap guards against
 accidental use on groups that are too large for that.
+
+Bounded indices (an element below |G|, a point below the degree, a pair rank
+below v^2) are deduplicated with index marks (`_distinct`), ranked by a
+cumulative sum of the marks and counted by `np.bincount`, each a linear
+pass.  A plain `np.unique` sorts or, in numpy 2.x, hashes its input, at many
+times that cost; it is kept for unbounded uint64 hashes (`block_map`'s keys,
+the iso colours), and `np.unique(..., return_index=True)` where the first
+occurrence is wanted.
 """
 
 from __future__ import annotations
@@ -185,6 +193,14 @@ def _dtype_for(degree: int) -> np.dtype:
     if degree > _MAX_DEGREE:
         raise ValueError(f"degree {degree} exceeds the limit {_MAX_DEGREE} of uint16 image rows")
     return np.dtype(np.uint8) if degree <= 255 else np.dtype(np.uint16)
+
+
+def _distinct(idx: np.ndarray, n: int) -> np.ndarray:
+    """The distinct values of idx, all in 0..n-1, ascending, as intp: one
+    pass of index marks, with no sort."""
+    marks = np.zeros(n, dtype=bool)
+    marks[idx] = True
+    return np.flatnonzero(marks)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -458,28 +474,46 @@ def orbits(H: Subgroup | GroupTable) -> list[tuple[int, ...]]:
     # of p's orbit
     least = H.images_array().min(axis=0)
     by_orbit = np.argsort(least, kind="stable")
-    _, sizes = np.unique(least, return_counts=True)
+    sizes = np.bincount(least)
+    sizes = sizes[sizes > 0]
     out = [tuple(orb.tolist()) for orb in np.split(by_orbit, np.cumsum(sizes)[:-1])]
     out.sort(key=lambda orb: (len(orb), orb[0]))
     return out
 
 
 def pair_orbit_table(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """Label matrix for G-orbits on unordered point pairs, plus orbit sizes."""
+    """Label matrix for G-orbits on unordered point pairs, plus orbit sizes;
+    computed once per group and kept on it.  The diagonal is -1, and the
+    orbits are numbered in the row-major order of their least pair p < q.
+
+    Built from point-stabilizer suborbits, with no orbit of any pair.  For
+    the least point r of each point orbit, key[p, x(q)] = r v + s(q), where
+    x is one element with x(r) = p, for each p in r's orbit, and s(q) is the
+    least point of q's orbit under G_r.  So key[p, q] names the G-orbit of
+    the ordered pair (p, q), and it is the row-major index of that orbit's
+    least pair whose first point is r.  min(key, key.T) then names the
+    unordered orbit by the index of its least pair p < q: the least point
+    on any of its pairs is the least point r of one of the two point
+    orbits, and every point paired with r is above r.  The labels rank
+    these indices, with index marks and a cumulative sum.
+    """
     if G._pair_orbits is None:
         v = G.degree
         rows = G.images_array()
-        labels = np.full((v, v), -1, dtype=np.int32)
-        sizes = []
-        for p in range(v):
-            for q in np.flatnonzero(labels[p, p + 1:] < 0) + p + 1:
-                # an orbit found earlier in this row may have labelled q
-                if labels[p, q] >= 0:
-                    continue
-                orbit = set_orbit(rows, (p, q))
-                labels[orbit[:, 0], orbit[:, 1]] = labels[orbit[:, 1], orbit[:, 0]] = len(sizes)
-                sizes.append(len(orbit))
-        G._pair_orbits = (labels, np.array(sizes, dtype=np.int64))
+        key = np.empty((v, v), dtype=np.int64)
+        for r in np.flatnonzero(rows.min(axis=0) == np.arange(v)).tolist():
+            # xs[i]: the first element that maps r to images[i]
+            images, xs = np.unique(rows[:, r], return_index=True)
+            least = rows[rows[:, r] == r].min(axis=0).astype(np.int64)
+            key[images[:, None], rows[xs]] = r * v + least
+        key = np.minimum(key, key.T)
+        upper = np.triu(np.ones((v, v), dtype=bool), 1)
+        marks = np.zeros(v * v, dtype=bool)
+        marks[key[upper]] = True
+        rank = np.cumsum(marks) - 1
+        labels = rank[key].astype(np.int32)
+        labels[np.diag_indices(v)] = -1
+        G._pair_orbits = (labels, np.bincount(labels[upper]).astype(np.int64))
     return G._pair_orbits
 
 
@@ -528,7 +562,7 @@ def _normalizer_gens(G: GroupTable) -> tuple[Permutation, ...]:
     v = G.degree
     points = np.arange(v)
     gens = np.array(sorted({G.index_of(g) for g in G.generators} - {0}), dtype=np.intp)
-    if len(np.unique(rows[:, 0])) < v or not len(gens):
+    if not np.bincount(rows[:, 0], minlength=v).all() or not len(gens):
         return ()  # intransitive, or the trivial group on one point
     gen_rows = rows[gens].astype(np.intp)
     # breadth-first tree of point 0: each layer's new points, their parents
@@ -618,7 +652,7 @@ def _automorphism_images(G: GroupTable, gens: np.ndarray):
             xs = xs[labels[xs] == xs]  # the least element of each class
         elif len(xs):
             # the least of each orbit under conjugation by cent
-            xs = np.unique(T[T[inv[cent][:, None], xs], cent[:, None]].min(axis=0))
+            xs = _distinct(T[T[inv[cent][:, None], xs], cent[:, None]].min(axis=0), G.order)
         for x in xs.tolist():
             yield from extend(chosen + (x,), cent[T[cent, x] == T[x, cent]])
 
@@ -740,8 +774,9 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
     solvable unless 60 | m or 168 | m; from 360 on, Burnside's p^a q^b
     theorem is used (at most two distinct primes).  On that solvable route
     the candidates are first cut down to N_G(H) with one vectorized gather
-    per stored generator of H (`_normalizing`), and each surviving coset H*y
-    is tried once, by its smallest cyclic generator.
+    per stored generator of H (`_normalizing`).  On both routes each coset
+    H*y is tried once, by its smallest cyclic generator; a coset is keyed by
+    its least element, the minimum of the column T[H, y], with no sort.
 
     The cyclic layer reads G's power table: <y> is the first o(y) powers of
     y, and it is named by its least generator, the least y^k with
@@ -753,8 +788,9 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
     in its class.
 
     A new subgroup K is keyed once for its whole class: N = N_G(K) comes from
-    `_normalizing`, one gather gives g^-1 K g for one g in each coset N*g,
-    so each distinct conjugate once, these go into the run's conjugate set,
+    `_normalizing`, one gather gives g^-1 K g for the least element g of
+    each coset N*g (marked among the column minima of T[N]), so each
+    distinct conjugate once, these go into the run's conjugate set,
     and the lexicographically least one is stored, with its generators
     conjugated by the same g, and its normalizer g^-1 N g is kept for
     `normalizer`.  Extending only these representatives still
@@ -833,10 +869,12 @@ def _new_subgroup_classes(G: GroupTable, m: int) -> dict[int, list[_ClassRecord]
         reps = np.minimum.reduce(
             [T[N[i : i + step]].min(axis=0) for i in range(0, len(N), step)]
         )
-        reps = np.unique(reps).astype(np.int64)[:, None]
+        reps = _distinct(reps, G.order)[:, None]
         conj = T[T[inv[reps], K], reps]  # row i: reps[i]^-1 K reps[i]
         members = sorted_rows(conj)
-        conjugates.update(row.tobytes() for row in members)
+        # one bytes object per row, as `K.astype(np.uint16).tobytes()` gives it
+        row_bytes = np.dtype((np.void, members.shape[1] * members.itemsize))
+        conjugates.update(members.view(row_bytes).ravel().tolist())
         least = members[0].astype(np.int64)
         in_least = np.zeros(G.order, dtype=bool)
         in_least[least] = True
@@ -862,18 +900,18 @@ def _new_subgroup_classes(G: GroupTable, m: int) -> dict[int, list[_ClassRecord]
             ys = _normalizing(T, inv, in_H, gens, ys)
         if ys.size == 0:
             continue
-        # one extension attempt per coset H*y: dedupe candidates by coset
-        cosets = T[np.ix_(H, ys)]  # column c is the coset H*ys[c]
-        cosets = np.sort(cosets, axis=0)
-        _, first = np.unique(cosets.T, axis=0, return_index=True)
-        for y in sorted(int(ys[c]) for c in first):
+        # one extension attempt per coset H*y, keyed by its least element
+        # (column c of T[H, ys] is the coset H*ys[c]); ys is ascending, so
+        # the first of each key is the least y of its coset
+        _, first = np.unique(T[np.ix_(H, ys)].min(axis=0), return_index=True)
+        for y in ys[np.sort(first)].tolist():
             if solvable_route:
                 cyc = powers[: orders[y], y]
                 # y normalizes H, so |<H, y>| = |H| o(y) / |H ∩ <y>|
                 d = len(H) * int(orders[y]) // int(in_H[cyc].sum())
                 if m % d or d in known:
                     continue
-                K = np.unique(T[np.ix_(H, cyc)])
+                K = _distinct(T[np.ix_(H, cyc)], G.order)
             else:
                 K = _closure_capped(T, H, gens, y, cap=m)
             if K is not None and m % len(K) == 0:

@@ -174,7 +174,10 @@ def run(job: SearchJob) -> SearchResult:
       so they are disjoint.
 
     So a filter survivor is processed only when it is the least member of
-    its N_G(H)-orbit.
+    its N_G(H)-orbit.  Its orbit is read from the least element of each
+    right coset of H (`from_base_block` with H, as H <= G_B), so from
+    |G:H| = b rows; when G_B is larger than H it has fewer than b blocks,
+    and B is rejected.
     """
     G = job.group
     m = job.stabilizer_order
@@ -191,7 +194,7 @@ def run(job: SearchJob) -> SearchResult:
             for base in chunk[keep]:
                 if not np.array_equal(set_orbit(normalizer_rows, base)[0], base):
                     continue
-                D = from_base_block(G, base)
+                D = from_base_block(G, base, H)
                 if D.b == job.b and lambda_of(D, 2) == job.lam:
                     designs.append(D)
     # sorted, so each class's first member (classes keep input order) is its least

@@ -451,11 +451,12 @@ def test_iso_classes_runs_the_normalizer_search_only_for_two_designs(psl33, monk
 BASE_BLOCK_SECOND_ORBIT = (4, 10, 34, 41, 55, 67, 85, 99, 115, 122, 136, 142)
 
 
-def test_iso_classes_group_falls_back_off_one_orbit(psl33, monkeypatch):
+def test_iso_classes_group_falls_back_off_one_orbit(psl33, pgl33, monkeypatch):
     # only a design that is exactly one G-orbit of blocks takes the group's
     # short path; a G-invariant union of two orbits and a relabelled orbit
     # take the b x b path, so the partition and every fingerprint are those
-    # of the group-less call
+    # of the group-less call.  The extension group's lambda = 6 design has
+    # the union's v, b and k, so the union, which opens a class, is compared
     D = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
     union = dz.Design(
         144, np.vstack([D.array, dz.from_base_block(psl33, BASE_BLOCK_SECOND_ORBIT).array])
@@ -463,7 +464,9 @@ def test_iso_classes_group_falls_back_off_one_orbit(psl33, monkeypatch):
     assert union.b == 936 and _block_map(psl33, union) is None
     assert len(iso.fingerprint(union).block_profile_histogram) == 2
     relabelled, _ = _random_relabel(D, random.Random(14))
-    designs = [union, relabelled, D]
+    lam6 = dz.from_base_block(pgl33, BASE_BLOCK_LAMBDA6)
+    assert lam6.b == 936 and _block_map(psl33, lam6) is None
+    designs = [union, relabelled, D, lam6]
     plain = iso.iso_classes(designs)
     fingerprints = {E: iso.fingerprint(E) for E in designs}
     made = []
@@ -474,8 +477,10 @@ def test_iso_classes_group_falls_back_off_one_orbit(psl33, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(iso, "_Precomp", Recorded)
-    assert iso.iso_classes(designs, group=psl33) == plain == [[1, 2], [0]]
-    assert {pre.design: pre.group for pre in made} == {union: None, relabelled: None, D: psl33}
+    assert iso.iso_classes(designs, group=psl33) == plain == [[1, 2], [3], [0]]
+    assert {pre.design: pre.group for pre in made} == {
+        union: None, relabelled: None, D: psl33, lam6: None
+    }
     for pre in made:
         assert pre.fingerprint == fingerprints[pre.design]
 
@@ -555,10 +560,13 @@ def test_group_path_on_a_point_intransitive_group(psl33, monkeypatch):
 
 def test_block_key_collision_falls_back(psl33, monkeypatch):
     # weights under which two blocks of D share a key: D takes the b x b
-    # path, and the partition is the group-less one
+    # path, and the partition is the group-less one.  The normalizer merges
+    # the twin with no comparison, so a relabelled twin, which no kept
+    # bijection maps onto a visited block set, makes D reach the tiers
     D, twin = (
         dz.from_base_block(psl33, base) for base in (BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA3_TWIN)
     )
+    relabelled, _ = _random_relabel(twin, random.Random(16))
     real = pg._weights
     w = real(D.v).copy()
     p = next(p for p in D.array[0] if p not in D.array[1])
@@ -573,10 +581,21 @@ def test_block_key_collision_falls_back(psl33, monkeypatch):
             super().__init__(*args)
             made.append(self)
 
-    plain = iso.iso_classes([D, twin])
+    plain = iso.iso_classes([D, twin, relabelled])
     monkeypatch.setattr(iso, "_Precomp", Recorded)
-    assert iso.iso_classes([D, twin], group=psl33) == plain == [[0, 1]]
+    assert iso.iso_classes([D, twin, relabelled], group=psl33) == plain == [[0, 1, 2]]
     assert {pre.group for pre in made if pre.design == D} == {None}
+
+
+def test_class_openers_are_lazy(psl33, monkeypatch):
+    # the lambda = 3 pair: the normalizer merges the twin, so no design
+    # reaches the tiers and none gets a block map, histograms or a _Precomp
+    pair = [dz.from_base_block(psl33, b) for b in (BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA3_TWIN)]
+    made = []
+    monkeypatch.setattr(iso, "_Precomp", lambda *args: made.append(args))
+    monkeypatch.setattr(iso, "block_map", lambda *args: made.append(args))
+    assert iso.iso_classes(pair, group=psl33) == [[0, 1]]
+    assert made == []
 
 
 def test_image_key_collision_falls_back(psl33, monkeypatch):

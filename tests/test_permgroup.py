@@ -5,7 +5,7 @@ import json
 import random
 import time
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -244,6 +244,43 @@ def test_set_orbit_matches_definition(psl33, pgl33):
                 got = [tuple(img) for img in pg.set_orbit(rows, pts).tolist()]
                 want = {tuple(sorted(row[p] for p in pts)) for row in rows.tolist()}
                 assert got == sorted(want)
+
+
+def _point_stabilizer_39(psl33) -> pg.GroupTable:
+    """G_0 of psl33 as a group of its own: order 39, 8 point orbits."""
+    rows = psl33.images_array()
+    stab = np.flatnonzero(rows[:, 0] == 0)
+    orders = psl33.element_orders()[stab]
+    return pg.GroupTable.generate([psl33.element(int(stab[orders == n][0])) for n in (13, 3)])
+
+
+@pytest.mark.parametrize("name", ["psl33", "stabilizer39", "s4_and_a_fixed_point",
+                                  "trivial1", "trivial3"])
+def test_pair_orbit_table_brute_force(psl33, name):
+    # every pair labelled by its `set_orbit`, orbits numbered in the row-major
+    # order of their least pair: the numbering is pinned, not only the partition
+    G = {
+        "psl33": lambda: pg.GroupTable.from_file(data_path("psl33.gens")),
+        "stabilizer39": lambda: _point_stabilizer_39(psl33),
+        "s4_and_a_fixed_point": lambda: pg.GroupTable.generate(
+            [pg.parse_cycles("(1,2)", 5), pg.parse_cycles("(1,2,3,4)", 5)]
+        ),
+        "trivial1": lambda: pg.GroupTable.generate([pg.identity(1)]),
+        "trivial3": lambda: pg.GroupTable.generate([pg.identity(3)]),
+    }[name]()
+    v, rows = G.degree, G.images_array()
+    want = np.full((v, v), -1, dtype=np.int32)
+    sizes = []
+    for p, q in combinations(range(v), 2):
+        if want[p, q] < 0:
+            orbit = pg.set_orbit(rows, (p, q))
+            want[orbit[:, 0], orbit[:, 1]] = want[orbit[:, 1], orbit[:, 0]] = len(sizes)
+            sizes.append(len(orbit))
+    labels, got_sizes = pg.pair_orbit_table(G)
+    assert labels.dtype == np.int32 and np.array_equal(labels, want)
+    assert got_sizes.dtype == np.int64 and got_sizes.tolist() == sizes
+    if name == "stabilizer39":
+        assert G.order == 39 and len(pg.orbits(G)) == 8 and len(sizes) == 274
 
 
 def test_orbit_lengths_divide_order(psl33):

@@ -139,6 +139,39 @@ def test_orbit_length_fixes_stabilizer_order(group, k, lam, request):
         assert (orbit_len == job.b) == (stab_order == job.stabilizer_order)
 
 
+@pytest.mark.parametrize("lam", [2, 3, 4, 6])
+def test_transversal_orbit_is_the_full_orbit(psl33, lam):
+    # the orbit read from one element per right coset of H is the orbit over
+    # all of G: for each canonical filter survivor of every class H, as `run`
+    # sees them (two at lambda = 3, none at 2, 4 and 6), and for the first
+    # candidate of each chunk, as every candidate is H-invariant
+    job = sr.SearchJob(psl33, 12, lam)
+    labels, sizes = pg.pair_orbit_table(psl33)
+    survivors = 0
+    for H in pg.subgroups_of_order(psl33, job.stabilizer_order):
+        n_rows = pg.normalizer(H).images_array()
+        for chunk in sr._candidate_chunks(H, job.k):
+            keep = sr._proportionality_filter(chunk, labels, sizes, job.lam, job.b)
+            canonical = [b for b in chunk[keep] if np.array_equal(pg.set_orbit(n_rows, b)[0], b)]
+            survivors += len(canonical)
+            for base in [chunk[0], *canonical]:
+                assert dz.from_base_block(psl33, base, H) == dz.from_base_block(psl33, base)
+    assert survivors == (2 if lam == 3 else 0)
+
+
+def test_transversal_orbit_of_a_larger_block_stabilizer(psl33):
+    # H of order 3 inside G_B of order 12: the orbit read from the |G:H| =
+    # 1872 coset representatives still has |G:G_B| = 468 blocks, fewer than
+    # the lambda = 12 job's b, so `run` would reject B for H
+    G_B = pg.set_stabilizer(psl33, BASE_BLOCK_LAMBDA3)
+    y = next(i for i in G_B.indices if psl33.element_orders()[i] == 3)
+    H = pg.Subgroup(psl33, tuple(sorted(psl33.power_table()[:3, y].tolist())))
+    assert G_B.order == 12 and set(H.indices) < set(G_B.indices)
+    D = dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3, H)
+    assert D == dz.from_base_block(psl33, BASE_BLOCK_LAMBDA3)
+    assert D.b == psl33.order // G_B.order < psl33.order // H.order == sr.SearchJob(psl33, 12, 12).b
+
+
 def test_s4_lambda_1_excluded_by_default(sym4):
     results = sr.full_sweep(sym4, 2)
     assert sorted(results) == [2]
