@@ -6,9 +6,10 @@ Everything here is exact big-integer arithmetic; no floating point.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cache
-from itertools import compress, pairwise
+from itertools import compress
 from typing import Iterable
 
 from .errors import FactorizationError
@@ -24,13 +25,18 @@ _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 # runs with seeds 1.._BRENT_SEEDS (cycle length up to _BRENT_MAX_R).  A prime
 # factor of a cyclotomic value Phi_d(q) that does not divide d is 1 mod d, and
 # the screen's hard cofactors have a prime p with p - 1 smooth enough for p-1
-# where rho needs ~sqrt(p) steps.
+# where rho needs ~sqrt(p) steps.  p-1's stage 1 takes a gcd after each chunk
+# of prime powers (primes up to each bound in _PM1_CHUNKS), so a cofactor
+# whose two primes p - 1 and q - 1 both divide E still splits when they fall
+# in different chunks; stage 2 pairs the primes kW - j and kW + j, W =
+# _PM1_W, in one product term (Montgomery, Math. Comp. 48, 1987).
 _BRENT_SHORT_R = 1 << 13
 _BRENT_SEEDS = 8
 _BRENT_MAX_R = 1 << 22
 _PM1_B1 = 50_000
 _PM1_B2 = 2_000_000
-_PM1_BLOCK = 1024
+_PM1_CHUNKS = (500, 2000, 8000, 20_000, _PM1_B1)
+_PM1_W = 2310  # 2·3·5·7·11
 
 
 def _odd_sieve(limit: int) -> bytearray:
@@ -124,56 +130,91 @@ def _pollard_brent(n: int, seed: int = 1, max_r: int = _BRENT_MAX_R) -> int:
 
 
 @cache
-def _pm1_tables() -> tuple[int, int, bytes, int]:
-    """(E, p0, half_gaps, max(half_gaps)), built on the first p-1 run from an
-    odd-only sieve up to B2: E is the product of the prime powers <= B1, p0
-    the largest prime <= B1, and half_gaps[i] half the gap from the i-th to
-    the (i+1)-th prime in p0, next_prime(p0), ..., <= B2."""
+def _pm1_tables() -> tuple[tuple[int, ...], int, int, tuple[int, ...], tuple[bytes, ...]]:
+    """(chunks, p0, k0, babies, plan), built on the first p-1 run from an
+    odd-only sieve up to B2.
+
+    Stage 1: chunks[i] is the product of the largest powers <= B1 of the
+    primes in (_PM1_CHUNKS[i - 1], _PM1_CHUNKS[i]], so their product is E, the
+    product of the prime powers <= B1; p0 is the largest prime <= B1.
+    Stage 2: babies are the j < W/2 prime to W, and plan[i] lists, as indices
+    into babies, each j for which kW - j or kW + j, k = k0 + i, is a prime in
+    (p0, B2]: first those with kW - j prime by descending j, then the others
+    by ascending j, so the terms run in ascending order of the smaller prime
+    each covers.  Every prime in (p0, B2] is kW - j or kW + j for one such
+    pair (k, j).
+    """
     sieve = _odd_sieve(_PM1_B2)
-    exponent = 1 << (_PM1_B1.bit_length() - 1)
-    p0 = 2
+    chunks = [1] * len(_PM1_CHUNKS)
+    chunks[0] = 1 << (_PM1_B1.bit_length() - 1)
+    chunk, p0 = 0, 2
     for p in compress(range(1, _PM1_B1 + 1, 2), sieve[: (_PM1_B1 + 1) // 2]):
+        while p > _PM1_CHUNKS[chunk]:
+            chunk += 1
         power = p
         while power * p <= _PM1_B1:
             power *= p
-        exponent *= power
+        chunks[chunk] *= power
         p0 = p
-    stage2 = compress(range(p0, _PM1_B2 + 1, 2), memoryview(sieve)[p0 // 2 :])
-    half_gaps = bytes((b - a) // 2 for a, b in pairwise(stage2))
-    return exponent, p0, half_gaps, max(half_gaps)
+    # odd m <= p0 are dropped and m > B2 read as 0; kW -+ (2t + 1) is entry
+    # kW/2 - 1 - t or kW/2 + t of the sieve, t < W/4
+    half, quarter = _PM1_W // 2, _PM1_W // 4
+    sieve[: p0 // 2 + 1] = bytes(p0 // 2 + 1)
+    sieve += bytes(quarter)
+    babies = tuple(j for j in range(1, half, 2) if math.gcd(j, _PM1_W) == 1)
+    index = {j // 2: i for i, j in enumerate(babies)}
+    k0 = (p0 + half) // _PM1_W
+    plan = []
+    for c in range(k0 * half, _PM1_B2 // 2 + half, half):
+        below, above = sieve[c - quarter : c][::-1], sieve[c : c + quarter]
+        terms = [*compress(range(quarter), below)][::-1]
+        terms += compress(range(quarter), map(operator.gt, above, below))
+        plan.append(bytes(index[t] for t in terms))
+    return tuple(chunks), p0, k0, babies, tuple(plan)
 
 
 def _pollard_pm1(n: int) -> int:
     """One Pollard p-1 run on odd n: a factor of n, or 1 or n on failure.
 
     Stage 1 finds p | n when every prime power in p - 1 is <= B1; stage 2
-    also finds it when p - 1 has one more prime in (B1, B2].
+    also finds it when p - 1 has one more prime in (B1, B2].  Stage 2 works
+    with V_m = x^m + x^-m mod n, x = 2^E: the term V_kW - V_j is
+    x^-kW (x^(kW+j) - 1)(x^(kW-j) - 1), one mulmod for two primes kW -+ j,
+    and V_(k+1)W = V_kW V_W - V_(k-1)W.
     """
-    exponent, p0, half_gaps, max_half_gap = _pm1_tables()
-    x = pow(2, exponent, n)
-    g = math.gcd(x - 1, n)
-    if g != 1:
-        return g
-    x2 = x * x % n
-    steps = [1, x2]  # steps[h] = x^(2h)
-    for _ in range(max_half_gap - 1):
-        steps.append(steps[-1] * x2 % n)
-    y = pow(x, p0, n)
-    for start in range(0, len(half_gaps), _PM1_BLOCK):
-        block, y_start, acc = half_gaps[start : start + _PM1_BLOCK], y, 1
-        for h in block:
-            y = y * steps[h] % n
-            acc = acc * (y - 1) % n
+    chunks, _, k0, babies, plan = _pm1_tables()
+    x = 2
+    for chunk in chunks:
+        x = pow(x, chunk, n)
+        g = math.gcd(x - 1, n)
+        if g != 1:
+            return g
+    x_inv = pow(x, -1, n)
+    # odd[t] = V_(2t+1) by V_(j+2) = V_j V_2 - V_(j-2), from V_-1 = V_1
+    v1 = (x + x_inv) % n
+    v2 = (v1 * v1 - 2) % n
+    odd, before = [v1], v1
+    while len(odd) <= _PM1_W // 4:
+        odd.append((odd[-1] * v2 - before) % n)
+        before = odd[-2]
+    v_w = (odd[-1] * odd[-1] - 2) % n  # V_W = V_(W/2)^2 - 2
+    vs = [odd[j // 2] for j in babies]
+    m = k0 * _PM1_W
+    v_prev = (pow(x, m - _PM1_W, n) + pow(x_inv, m - _PM1_W, n)) % n
+    v = (pow(x, m, n) + pow(x_inv, m, n)) % n
+    for js in plan:
+        acc = 1
+        for j in js:
+            acc = acc * (v - vs[j]) % n
         g = math.gcd(acc, n)
-        if g == n:  # two factors in one block: replay it one gcd at a time
-            y = y_start
-            for h in block:
-                y = y * steps[h] % n
-                g = math.gcd(y - 1, n)
+        if g == n:  # two factors in one giant step: replay it one gcd at a time
+            for j in js:
+                g = math.gcd(v - vs[j], n)
                 if g != 1:
                     return g
         if g != 1:
             return g
+        v_prev, v = v, (v * v_w - v_prev) % n
     return 1
 
 

@@ -535,8 +535,10 @@ def build_report(
     if exact:
         v_value = Fraction(x, h0)
         # the numerator divides |X|, whose every prime is p or divides some
-        # Phi_d(q) with d <= n: it is factored over these parts, not as one number
-        x_parts = (case.q.p, *cyclotomic_values(n, q))
+        # q^i - 1 = p^(if) - 1 = prod_{e | if} Phi_e(p), i <= n: it is factored
+        # over these parts, not as one number; for q = p^f, f > 1, the
+        # Phi_e(p) split each Phi_d(q) further
+        x_parts = (case.q.p, *cyclotomic_values(n * case.q.f, case.q.p))
         num = format_factorization(factorize_over(v_value.numerator, x_parts))
         if v_value.denominator == 1:
             v = int(v_value)

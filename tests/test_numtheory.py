@@ -58,6 +58,19 @@ def test_pollard_pm1_replays_a_block_holding_both_factors():
     assert nt._pollard_pm1(p * q) == p
 
 
+def test_pollard_pm1_chunked_stage1_splits_when_e_holds_both_factors():
+    # Phi_7(673)'s cofactor on the default screen: p - 1 = 2·3^2·7·13·31·1747
+    # and q - 1 = 2·3^2·7^2·71·2393 both divide E, so one gcd after all of
+    # stage 1 is n; the gcd after the chunk of primes in (500, 2000] finds p
+    p, q = 88709167, 149854447
+    chunks = nt._pm1_tables()[0]
+    exponent = math.prod(chunks)
+    assert exponent % (p - 1) == exponent % (q - 1) == 0
+    assert math.gcd(pow(2, exponent, p * q) - 1, p * q) == p * q
+    assert (p - 1) % 1747 == 0 and 500 < 1747 <= 2000 < 2393
+    assert nt._pollard_pm1(p * q) == p
+
+
 def test_pollard_pm1_fails_and_rho_still_splits():
     # p - 1 = 2·500000003 and q - 1 = 2·1000000289, both primes above B2
     p, q = 1000000007, 2000000579
@@ -105,13 +118,40 @@ def test_primes_up_to_matches_trial_division():
 
 
 def test_pm1_tables_match_recorded_values():
-    # pins the tables built from the shared odd-only sieve; E is hashed in hex
-    # because its 21700 decimal digits exceed what str() converts by default
-    exponent, p0, half_gaps, max_half_gap = nt._pm1_tables()
-    assert (p0, len(half_gaps), max(half_gaps), max_half_gap) == (49999, 143800, 66, 66)
+    # pins the tables built from the shared odd-only sieve; E, the product of
+    # the stage-1 chunks, is hashed in hex because its 21700 decimal digits
+    # exceed what str() converts by default
+    chunks, p0, k0, babies, plan = nt._pm1_tables()
+    exponent = math.prod(chunks)
     assert hashlib.sha256(hex(exponent).encode()).hexdigest() == (
         "e85beac20f5caba16129593defefc91013fd64aded796f72c9b12e44a2e339fd"
     )
+    # chunk i holds the largest powers <= B1 of the primes in
+    # (_PM1_CHUNKS[i - 1], _PM1_CHUNKS[i]]
+    powers = {p: p ** int(math.log(nt._PM1_B1, p) + 1e-9) for p in nt._primes_up_to(nt._PM1_B1)}
+    assert all(p <= power <= nt._PM1_B1 < power * p for p, power in powers.items())
+    bounds = (1, *nt._PM1_CHUNKS)
+    assert list(chunks) == [
+        math.prod(power for p, power in powers.items() if low < p <= high)
+        for low, high in zip(bounds, bounds[1:])
+    ]
+    assert (p0, k0, len(babies)) == (49999, 22, 240)
+    # giant steps k = 22..866; the stage also computes V_kW at k = 21 to
+    # start the recurrence, 846 values in all
+    assert (len(plan), sum(map(len, plan))) == (845, 118404)
+    w = nt._PM1_W
+    stage2 = {r for r in nt._primes_up_to(nt._PM1_B2) if r > p0}
+    assert len(stage2) == 143800
+    smaller, covered = [], set()
+    for k, js in enumerate(plan, k0):
+        for j in js:
+            primes = stage2.intersection((k * w - babies[j], k * w + babies[j]))
+            smaller.append(min(primes))  # raises if a term covers no stage-2 prime
+            covered |= primes
+    # the terms cover every stage-2 prime, in ascending order of the
+    # smaller prime each covers
+    assert covered == stage2
+    assert smaller == sorted(smaller)
 
 
 def test_parse_factorization_inverse():
@@ -189,15 +229,18 @@ def _psl_factorization(n, q):
 def test_factorize_over_matches_factorize_on_psl_divisors():
     rng = random.Random(20261019)
     for n, q in ((3, 3), (4, 7), (5, 4), (6, 9), (8, 2), (9, 32), (10, 13), (12, 3)):
-        parts = (nt.prime_power_decomposition(q)[0], *nt.cyclotomic_values(n, q))
-        full = _psl_factorization(n, q)
-        assert math.prod(r**e for r, e in full.items()) == x_order(n, q)
-        assert nt.factorize_over(x_order(n, q), parts) == full
-        for _ in range(10):
-            chosen = {r: rng.randint(0, e) for r, e in full.items()}
-            divisor = math.prod(r**e for r, e in chosen.items())
-            got = nt.factorize_over(divisor, parts)
-            assert got == {r: e for r, e in chosen.items() if e} == nt.factorize(divisor)
+        p, f = nt.prime_power_decomposition(q)
+        # the parts over q, and over p as screen.build_report uses them:
+        # q^i - 1 = p^(if) - 1 = prod_{e | if} Phi_e(p)
+        for parts in ((p, *nt.cyclotomic_values(n, q)), (p, *nt.cyclotomic_values(n * f, p))):
+            full = _psl_factorization(n, q)
+            assert math.prod(r**e for r, e in full.items()) == x_order(n, q)
+            assert nt.factorize_over(x_order(n, q), parts) == full
+            for _ in range(10):
+                chosen = {r: rng.randint(0, e) for r, e in full.items()}
+                divisor = math.prod(r**e for r, e in chosen.items())
+                got = nt.factorize_over(divisor, parts)
+                assert got == {r: e for r, e in chosen.items() if e} == nt.factorize(divisor)
     # Phi_11(569): its smallest prime factor is about 10^13
     parts = (569, *nt.cyclotomic_values(11, 569))
     phi11 = parts[11]

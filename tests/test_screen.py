@@ -337,6 +337,24 @@ def test_adhoc_case_factored_over_cyclotomic_values():
 
 
 @pytest.mark.parametrize(
+    ("n", "q"), [(11, 289), (11, 361), (11, 529), (11, 841), (11, 961), (7, 1024)]
+)
+def test_parts_over_p_split_hard_cyclotomic_cofactors(monkeypatch, n, q):
+    # over the parts p, Phi_1(q), ..., Phi_n(q) one cofactor of Phi_n(q) needs
+    # a Pollard p-1 run; over p and the Phi_e(p), e | if, q = p^f, it splits
+    # algebraically (Phi_11(17^2) = Phi_11(17)·Phi_22(17)) and none does
+    pm1, runs = nt._pollard_pm1, []
+    monkeypatch.setattr(nt, "_pollard_pm1", lambda m: runs.append(m) or pm1(m))
+    (report,) = sc.case_screen(["C1"], n_filter=n, q_filter=q)
+    assert report.case.get("i") == 1 and report.v is not None
+    assert runs == []
+    p, _ = nt.prime_power_decomposition(q)
+    over_q = nt.factorize_over(report.v, (p, *nt.cyclotomic_values(n, q)))
+    assert len(runs) == 1
+    assert nt.format_factorization(over_q) == report.v_factorization
+
+
+@pytest.mark.parametrize(
     ("n", "family", "params"), [(8, "C4", (("i", 2),)), (9, "C7", (("ell", 2), ("i", 3)))]
 )
 def test_adhoc_c4_and_c7_cases(n, family, params):
