@@ -137,8 +137,8 @@ def from_base_block(G: GroupTable, base: Iterable[int], H: Subgroup | None = Non
     if H is not None:
         if H.parent is not G:
             raise ValueError("H must be a subgroup of G")
-        # column g of T[H] is the coset H*g, so its minimum is the coset's least
-        rows = rows[_distinct(G.mul_table()[np.array(H.indices)].min(axis=0), G.order)]
+        # the distinct least elements of the cosets H*g, one row per coset
+        rows = rows[_distinct(G.coset_least(np.array(H.indices)), G.order)]
     return Design(G.degree, rows[:, blk])
 
 

@@ -230,8 +230,8 @@ class _Precomp:
         orbit is named by its least point (the rows of H hold every element,
         so a column's minimum is the least point of its orbit).  Block j is
         g(B0) for the element g = `_carriers[j]`, and h(B_j) is (g then h)(B0)
-        = `block_of[T[g, h]]`, so one gather of G's multiplication table per
-        element of H names each block orbit by its least block.
+        = `block_of[g*h]`, so one product per block and element of H
+        (`GroupTable.mul`) names each block orbit by its least block.
         """
         if self.group is None:
             return _OWN, _OWN
@@ -240,8 +240,7 @@ class _Precomp:
         rows = self.group.images_array()
         fixed_arr = np.array(fixed)
         H = np.flatnonzero((rows[:, fixed_arr] == fixed_arr).all(axis=1))
-        T = self.group.mul_table()
-        least_blocks = self.block_of[T[self._carriers[:, None], H]].min(axis=1)
+        least_blocks = self.block_of[self.group.mul(self._carriers[:, None], H)].min(axis=1)
         return _reps(rows[H].min(axis=0)), _reps(least_blocks)
 
     @cached_property
@@ -511,9 +510,10 @@ def iso_classes(designs: list[Design], group: GroupTable | None = None) -> list[
     (`permgroup.block_map`, run here once per design that is compared in
     the tiers) reads its block histograms off block 0 and its pair
     signatures off one pair per G-orbit of pairs, and refines on
-    stabilizer-orbit representatives; backtracking on it reads G's multiplication table,
-    which `search.run` has built.  Any other design takes the b x b path,
-    and the partition is the same with or without the group.
+    stabilizer-orbit representatives; backtracking on it reads products of
+    elements of G (`GroupTable.mul`), whose table `search.run` has built.
+    Any other design takes the b x b path, and the partition is the same
+    with or without the group.
     """
     known: dict[int, np.ndarray | None] = {}  # each design's `block_map`, checked once
 

@@ -34,7 +34,7 @@ from .numtheory import factorize
 DEFAULT_CAP = 10_000_000
 # order**2 table entries at 2 bytes each; 16000**2 is ~0.5 GB
 _MUL_TABLE_MAX_ORDER = 16000
-# bytes of one block of multiplication-table rows gathered at a time
+# bytes of one block of multiplication-table rows that `coset_least` gathers
 _GATHER_BYTES = 1 << 20
 # images are stored as uint16, so points run up to 65535
 _MAX_DEGREE = 1 << 16
@@ -324,18 +324,43 @@ class GroupTable:
         where e is the largest element order, so row o(y)-1 of column y is the
         identity and column y's first o(y) rows are the elements of <y>."""
         if self._powers is None:
-            T = self.mul_table()
             everything = np.arange(self.order)
             rows = [everything.astype(np.uint16)]
             done = rows[0] == 0
             while not done.all():
-                rows.append(T[rows[-1], everything])
+                rows.append(self.mul(rows[-1], everything))
                 done |= rows[-1] == 0
             self._powers = np.array(rows)
         return self._powers
 
+    # -- products: the only readers of the multiplication table
+
+    def mul(self, a, b) -> np.ndarray:
+        """The products a*b (a, then b) as uint16 indices; the index arrays
+        a and b broadcast against each other."""
+        return self.mul_table()[a, b]
+
+    def conj(self, x, g) -> np.ndarray:
+        """The conjugates g^-1 x g (g^-1, then x, then g) as uint16 indices;
+        the index arrays x and g broadcast against each other."""
+        T = self.mul_table()
+        return T[T[self.inverse_indices()[g], x], g]
+
+    def coset_least(self, H: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
+        """The least element of each right coset H*y, for y in ys (every
+        element when ys is None), as uint16 indices: the minimum over h in H
+        of h*y, read from blocks of the rows h*G of at most _GATHER_BYTES."""
+        T = self.mul_table()
+        cols = slice(None) if ys is None else ys
+        step = max(1, _GATHER_BYTES // T[0].nbytes)
+        return np.minimum.reduce(
+            [T[H[i : i + step]][:, cols].min(axis=0) for i in range(0, len(H), step)]
+        )
+
     def mul_table(self) -> np.ndarray:
-        """Dense (order, order) multiplication table; rows built by left-BFS."""
+        """Dense (order, order) multiplication table; rows built by left-BFS.
+        It is the one backend of `mul`, `conj` and `coset_least`; other code
+        calls it only to build the table ahead of the first product."""
         if self._mul_table is None:
             if self.order > _MUL_TABLE_MAX_ORDER:
                 raise CapExceededError(
@@ -595,7 +620,6 @@ def _normalizer_gens(G: GroupTable) -> tuple[Permutation, ...]:
     s = s[:, agree]
     candidates = s[:, (np.sort(s, axis=0) == points[:, None]).all(axis=0)].T
 
-    T = G.mul_table()
     stab = np.flatnonzero(rows[:, 0] == 0)
     xs = np.searchsorted(rows[:, 0], points)  # x_p(0) = p; rows[:, 0] is sorted
 
@@ -603,7 +627,7 @@ def _normalizer_gens(G: GroupTable) -> tuple[Permutation, ...]:
         # the elements g s of sG = Gs that fix 0: g(0) = s^-1(0) = a, so g
         # runs over G_0 x_a
         a = int(np.flatnonzero(s == 0)[0])
-        members = s[rows[T[stab, xs[a]]]].astype(rows.dtype)
+        members = s[rows[G.mul(stab, xs[a])]].astype(rows.dtype)
         return np.sort(_row_keys(members))[0].tobytes()
 
     kept: list[np.ndarray] = []
@@ -630,10 +654,10 @@ def _automorphism_images(G: GroupTable, gens: np.ndarray):
     """Yield candidate images (h_1, ..., h_r) of the generators `gens`, as
     element indices, one per coset of the inner automorphisms among those
     that are automorphisms; see `sym_normalizer_gens`."""
-    T = G.mul_table()
     inv = G.inverse_indices()
     orders = G.element_orders()
     labels = _class_labels(G)
+    everything = np.arange(G.order)
     sizes = np.bincount(labels, minlength=G.order)[labels]
     r = len(gens)
     like = (orders == orders[gens[:, None]]) & (sizes == sizes[gens[:, None]])
@@ -645,18 +669,18 @@ def _automorphism_images(G: GroupTable, gens: np.ndarray):
             return
         mask = like[i].copy()
         for j, h in enumerate(chosen):
-            mask &= orders[T[h]] == orders[T[gens[j], gens[i]]]
-            mask &= orders[T[inv[h]]] == orders[T[inv[gens[j]], gens[i]]]
+            mask &= orders[G.mul(h, everything)] == orders[G.mul(gens[j], gens[i])]
+            mask &= orders[G.mul(inv[h], everything)] == orders[G.mul(inv[gens[j]], gens[i])]
         xs = np.flatnonzero(mask)
         if i == 0:
             xs = xs[labels[xs] == xs]  # the least element of each class
         elif len(xs):
             # the least of each orbit under conjugation by cent
-            xs = _distinct(T[T[inv[cent][:, None], xs], cent[:, None]].min(axis=0), G.order)
+            xs = _distinct(G.conj(xs, cent[:, None]).min(axis=0), G.order)
         for x in xs.tolist():
-            yield from extend(chosen + (x,), cent[T[cent, x] == T[x, cent]])
+            yield from extend(chosen + (x,), cent[G.mul(cent, x) == G.mul(x, cent)])
 
-    yield from extend((), np.arange(G.order))
+    yield from extend((), everything)
 
 
 def set_stabilizer(G: GroupTable, points: Iterable[int]) -> Subgroup:
@@ -677,7 +701,7 @@ def set_stabilizer(G: GroupTable, points: Iterable[int]) -> Subgroup:
 
 
 def _normalizing(
-    T: np.ndarray, inv: np.ndarray, in_H: np.ndarray, gens: tuple[int, ...], ys: np.ndarray
+    G: GroupTable, in_H: np.ndarray, gens: tuple[int, ...], ys: np.ndarray
 ) -> np.ndarray:
     """The elements y of ys with y^-1 H y = H, where H = <gens> is marked by in_H.
 
@@ -685,7 +709,7 @@ def _normalizing(
     every generator g, and then equals H because conjugation keeps |H|.
     """
     for g in gens:
-        ys = ys[in_H[T[T[inv[ys], g], ys]]]
+        ys = ys[in_H[G.conj(g, ys)]]
     return ys
 
 
@@ -698,8 +722,7 @@ def normalizer(H: Subgroup) -> Subgroup:
             return Subgroup(G, tuple(N.tolist()))
     in_H = np.zeros(G.order, dtype=bool)
     in_H[list(H.indices)] = True
-    everything = np.arange(G.order, dtype=np.int64)
-    ys = _normalizing(G.mul_table(), G.inverse_indices(), in_H, H.indices, everything)
+    ys = _normalizing(G, in_H, H.indices, np.arange(G.order))
     return Subgroup(G, tuple(ys.tolist()))
 
 
@@ -713,10 +736,8 @@ def _class_labels(G: GroupTable) -> np.ndarray:
     class, and the least member of a class keeps its own index.
     """
     if G._class_labels is None:
-        T = G.mul_table()
-        inv = G.inverse_indices()
-        maps = [T[T[inv[s]], s] for s in map(G.index_of, G.generators)]
         labels = np.arange(G.order)
+        maps = [G.conj(labels, s) for s in map(G.index_of, G.generators)]
         while True:
             new = labels
             for conj in maps:
@@ -730,15 +751,14 @@ def _class_labels(G: GroupTable) -> np.ndarray:
 
 
 def _closure_capped(
-    T: np.ndarray, H: np.ndarray, gens: tuple[int, ...], y: int, cap: int
+    G: GroupTable, H: np.ndarray, gens: tuple[int, ...], y: int, cap: int
 ) -> np.ndarray | None:
     """Elements of <H, y>, or None once the closure grows past cap.
 
     H must already be a subgroup; the result is built as a union of right
     cosets of H, walking the coset graph under the generators of H plus y.
     """
-    n = T.shape[0]
-    mask = np.zeros(n, dtype=bool)
+    mask = np.zeros(G.order, dtype=bool)
     mask[H] = True
     count = len(H)
     step_gens = tuple(gens) + (y,)
@@ -748,9 +768,9 @@ def _closure_capped(
         w = reps[head]
         head += 1
         for g in step_gens:
-            u = int(T[w, g])
+            u = int(G.mul(w, g))
             if not mask[u]:
-                coset = T[H, u]
+                coset = G.mul(H, u)
                 mask[coset] = True
                 count += len(H)
                 if count > cap:
@@ -776,7 +796,7 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
     the candidates are first cut down to N_G(H) with one vectorized gather
     per stored generator of H (`_normalizing`).  On both routes each coset
     H*y is tried once, by its smallest cyclic generator; a coset is keyed by
-    its least element, the minimum of the column T[H, y], with no sort.
+    its least element (`GroupTable.coset_least`), with no sort.
 
     The cyclic layer reads G's power table: <y> is the first o(y) powers of
     y, and it is named by its least generator, the least y^k with
@@ -788,10 +808,10 @@ def subgroups_of_order(G: GroupTable, m: int) -> list[Subgroup]:
     in its class.
 
     A new subgroup K is keyed once for its whole class: N = N_G(K) comes from
-    `_normalizing`, one gather gives g^-1 K g for the least element g of
-    each coset N*g (marked among the column minima of T[N]), so each
-    distinct conjugate once, these go into the run's conjugate set,
-    and the lexicographically least one is stored, with its generators
+    `_normalizing`, one `conj` gives g^-1 K g for the least element g of
+    each coset N*g (`coset_least(N)`), so each distinct conjugate once,
+    these go into the run's conjugate set, and the lexicographically least
+    one, found by one argsort of their row keys, is stored, with its generators
     conjugated by the same g, and its normalizer g^-1 N g is kept for
     `normalizer`.  Extending only these representatives still
     reaches every class, on both routes: if K = <H, y> then
@@ -829,8 +849,6 @@ def _new_subgroup_classes(G: GroupTable, m: int) -> dict[int, list[_ClassRecord]
     """The class records of every order d | m (d > 1) not yet stored on G,
     found by the lattice closure that `subgroups_of_order` describes."""
     known = G._subgroup_classes
-    T = G.mul_table()
-    inv = G.inverse_indices()
     orders = G.element_orders()
     powers = G.power_table()
     solvable_route = (
@@ -853,34 +871,27 @@ def _new_subgroup_classes(G: GroupTable, m: int) -> dict[int, list[_ClassRecord]
 
     everything = np.arange(G.order, dtype=np.int64)
     found = {d: [] for d in range(2, m + 1) if m % d == 0 and d not in known}
-    # uint16 bytes of each conjugate met in this run (T is uint16)
+    # uint16 bytes of each conjugate met in this run (products are uint16)
     conjugates: set[bytes] = set()
     queue = [rec for d, recs in known.items() if m % d == 0 for rec in recs]
-    step = max(1, _GATHER_BYTES // T[0].nbytes)
 
     def store(K: np.ndarray, gens: tuple[int, ...]) -> None:
         if len(K) in known or K.astype(np.uint16).tobytes() in conjugates:
             return
         in_K = np.zeros(G.order, dtype=bool)
         in_K[K] = True
-        N = _normalizing(T, inv, in_K, gens, everything)
+        N = _normalizing(G, in_K, gens, everything)
         # g^-1 K g depends only on the coset N*g: one g per coset, its least
-        # element, which is the minimum of the column T[N, g]
-        reps = np.minimum.reduce(
-            [T[N[i : i + step]].min(axis=0) for i in range(0, len(N), step)]
-        )
-        reps = _distinct(reps, G.order)[:, None]
-        conj = T[T[inv[reps], K], reps]  # row i: reps[i]^-1 K reps[i]
-        members = sorted_rows(conj)
+        # element; the conjugates of distinct cosets are distinct rows
+        reps = _distinct(G.coset_least(N), G.order)
+        members = np.sort(G.conj(K, reps[:, None]), axis=1)  # row i: reps[i]^-1 K reps[i]
         # one bytes object per row, as `K.astype(np.uint16).tobytes()` gives it
         row_bytes = np.dtype((np.void, members.shape[1] * members.itemsize))
         conjugates.update(members.view(row_bytes).ravel().tolist())
-        least = members[0].astype(np.int64)
-        in_least = np.zeros(G.order, dtype=bool)
-        in_least[least] = True
-        g = int(reps[np.flatnonzero(in_least[conj].all(axis=1))[0], 0])
-        gens_least = tuple(int(T[T[inv[g], x], g]) for x in gens)
-        rec = (least, gens_least, np.sort(T[T[inv[g], N], g]))
+        i = int(np.argsort(_row_keys(members))[0])
+        least, g = members[i].astype(np.int64), int(reps[i])
+        gens_least = tuple(G.conj(np.array(gens), g).tolist())
+        rec = (least, gens_least, np.sort(G.conj(N, g)))
         found[len(least)].append(rec)
         if len(least) < m:
             queue.append(rec)
@@ -897,13 +908,12 @@ def _new_subgroup_classes(G: GroupTable, m: int) -> dict[int, list[_ClassRecord]
         ys = cyc_reps[~in_H[cyc_reps]]
         if solvable_route:
             # N_G(H) is a union of cosets H*y, so this drops whole cosets
-            ys = _normalizing(T, inv, in_H, gens, ys)
+            ys = _normalizing(G, in_H, gens, ys)
         if ys.size == 0:
             continue
-        # one extension attempt per coset H*y, keyed by its least element
-        # (column c of T[H, ys] is the coset H*ys[c]); ys is ascending, so
-        # the first of each key is the least y of its coset
-        _, first = np.unique(T[np.ix_(H, ys)].min(axis=0), return_index=True)
+        # one extension attempt per coset H*y, keyed by its least element;
+        # ys is ascending, so the first of each key is the least y of its coset
+        _, first = np.unique(G.coset_least(H, ys), return_index=True)
         for y in ys[np.sort(first)].tolist():
             if solvable_route:
                 cyc = powers[: orders[y], y]
@@ -911,9 +921,9 @@ def _new_subgroup_classes(G: GroupTable, m: int) -> dict[int, list[_ClassRecord]
                 d = len(H) * int(orders[y]) // int(in_H[cyc].sum())
                 if m % d or d in known:
                     continue
-                K = _distinct(T[np.ix_(H, cyc)], G.order)
+                K = _distinct(G.mul(H[:, None], cyc), G.order)
             else:
-                K = _closure_capped(T, H, gens, y, cap=m)
+                K = _closure_capped(G, H, gens, y, cap=m)
             if K is not None and m % len(K) == 0:
                 store(K, gens + (y,))
 

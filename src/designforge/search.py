@@ -90,12 +90,13 @@ class SearchResult:
 
 
 def _candidate_chunks(H: Subgroup, k: int):
-    """Yield (n, k) int arrays of candidate point sets, in deterministic order:
-    every union of H-orbits with k points, each row sorted.
+    """(total, chunks): the number of candidate point sets, every union of
+    H-orbits with k points, and an iterator of (n, k) int arrays of them, in
+    deterministic order, each row sorted.
 
     The orbits and the composition patterns (how many orbits of each length)
     are computed once; more than MAX_CANDIDATES candidates raise
-    CandidateExplosionError before the first chunk is yielded.
+    CandidateExplosionError before any chunk is built.
     """
     by_len: dict[int, list[tuple[int, ...]]] = {}
     for orb in orbits(H):
@@ -116,20 +117,24 @@ def _candidate_chunks(H: Subgroup, k: int):
             f"{total} orbit-union candidates for one subgroup class exceed "
             f"the {MAX_CANDIDATES} guard"
         )
-    for counts in patterns:
-        groups = []
-        for ln, c in zip(lengths, counts):
-            if c:
-                orb_arr = np.array(by_len[ln], dtype=np.int64)  # (n_orbits, ln)
-                combos = np.array(list(combinations(range(len(by_len[ln])), c)), dtype=np.int64)
-                groups.append(orb_arr[combos].reshape(len(combos), c * ln))
-        sizes = [g.shape[0] for g in groups]
-        count = math.prod(sizes)
-        for start in range(0, count, _CHUNK):
-            idx = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), sizes)
-            block = np.concatenate([g[i] for g, i in zip(groups, idx)], axis=1)
-            block.sort(axis=1)
-            yield block
+
+    def chunks():
+        for counts in patterns:
+            groups = []
+            for ln, c in zip(lengths, counts):
+                if c:
+                    orb_arr = np.array(by_len[ln], dtype=np.int64)  # (n_orbits, ln)
+                    combos = np.array(list(combinations(range(len(orb_arr)), c)), dtype=np.int64)
+                    groups.append(orb_arr[combos].reshape(len(combos), c * ln))
+            sizes = [g.shape[0] for g in groups]
+            count = math.prod(sizes)
+            for start in range(0, count, _CHUNK):
+                idx = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), sizes)
+                block = np.concatenate([g[i] for g, i in zip(groups, idx)], axis=1)
+                block.sort(axis=1)
+                yield block
+
+    return total, chunks()
 
 
 def _proportionality_filter(
@@ -188,8 +193,9 @@ def run(job: SearchJob) -> SearchResult:
     tested = 0
     for H in subgroups_of_order(G, m):
         normalizer_rows = normalizer(H).images_array()
-        for chunk in _candidate_chunks(H, job.k):
-            tested += len(chunk)
+        total, chunks = _candidate_chunks(H, job.k)
+        tested += total
+        for chunk in chunks:
             keep = _proportionality_filter(chunk, labels, sizes, job.lam, job.b)
             for base in chunk[keep]:
                 if not np.array_equal(set_orbit(normalizer_rows, base)[0], base):

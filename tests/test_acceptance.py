@@ -207,7 +207,7 @@ def test_criterion_3_lambda12_mass_audit(psl33, psl_sweep):
         n_rows = N.images_array()
         survivors = [
             base
-            for chunk in sr._candidate_chunks(H, job.k)
+            for chunk in sr._candidate_chunks(H, job.k)[1]
             for base in chunk[sr._proportionality_filter(chunk, labels, sizes, job.lam, job.b)]
         ]
         canonical = [b for b in survivors if np.array_equal(pg.set_orbit(n_rows, b)[0], b)]

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import random
 import time
 from collections import Counter
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,10 +132,71 @@ def test_shipped_labellings_differ(psl33, pgl33):
 def test_index_arithmetic(sym4):
     T = sym4.mul_table()
     inv = sym4.inverse_indices()
+    els = [sym4.element(i) for i in range(sym4.order)]
+    everything = np.arange(sym4.order)
+    # row i, column j: els[i] * els[j], and els[j]^-1 els[i] els[j]
+    products = sym4.mul(everything[:, None], everything)
+    conjugates = sym4.conj(everything[:, None], everything)
+    assert products.dtype == conjugates.dtype == np.uint16
     for i in range(sym4.order):
         for j in range(sym4.order):
-            assert sym4.element(int(T[i, j])) == sym4.element(i) * sym4.element(j)
-        assert (sym4.element(i) * sym4.element(int(inv[i]))).is_identity()
+            assert sym4.element(int(T[i, j])) == els[i] * els[j]
+            assert sym4.element(int(products[i, j])) == els[i] * els[j]
+            assert sym4.mul(i, j) == products[i, j]
+            assert sym4.element(int(conjugates[i, j])) == els[j].inverse() * els[i] * els[j]
+            assert sym4.conj(i, j) == conjugates[i, j]
+        assert (els[i] * sym4.element(int(inv[i]))).is_identity()
+    # the least element of each right coset H*y, on one subgroup of each class
+    ys = everything[::5]
+    for m in (1, 2, 3, 4, 6, 8, 12, 24):
+        for sub in pg.subgroups_of_order(sym4, m):
+            least = [min(sym4.index_of(els[h] * y) for h in sub.indices) for y in els]
+            H = np.array(sub.indices)
+            assert sym4.coset_least(H).tolist() == least
+            assert sym4.coset_least(H, ys).tolist() == least[::5]
+
+
+def test_coset_least_in_several_row_blocks(monkeypatch, psl33):
+    # 3 rows of the table per block, so the point stabilizer (order 39)
+    # is read in 13 blocks; the result is the one-block column minimum
+    T = psl33.mul_table()
+    H = np.array(pg.set_stabilizer(psl33, [0]).indices)
+    ys = np.arange(0, psl33.order, 7)
+    assert len(H) == 39
+    whole, some = T[H].min(axis=0), T[np.ix_(H, ys)].min(axis=0)
+    monkeypatch.setattr(pg, "_GATHER_BYTES", 3 * T[0].nbytes)
+    assert (psl33.coset_least(H) == whole).all()
+    assert (psl33.coset_least(H, ys) == some).all()
+    monkeypatch.setattr(pg, "_GATHER_BYTES", 1)  # one row per block
+    assert (psl33.coset_least(H, ys) == some).all()
+
+
+def test_only_the_product_methods_read_the_multiplication_table():
+    # the dense table is the one backend of mul, conj and coset_least, so a
+    # new backend (products from base images) changes those three bodies only
+    def readers(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from readers(child, where + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+                if name == "mul_table":
+                    yield ".".join(where)
+            if isinstance(child, ast.Attribute) and child.attr == "_mul_table":
+                assert where[1:] in {("GroupTable", "__init__"), ("GroupTable", "mul_table")}
+            yield from readers(child, where)
+
+    found = {}
+    for path in sorted(Path(pg.__file__).parent.glob("*.py")):
+        for where in readers(ast.parse(path.read_text()), (path.stem,)):
+            found[where] = found.get(where, 0) + 1
+    assert found == {
+        "permgroup.GroupTable.mul": 1,
+        "permgroup.GroupTable.conj": 1,
+        "permgroup.GroupTable.coset_least": 1,
+    }
 
 
 def test_element_lookup_above_degree_255():
@@ -149,9 +212,22 @@ def test_element_lookup_above_degree_255():
     assert all(G.index_of(G.element(i)) == i for i in range(G.order))
     T = G.mul_table()
     rng = random.Random(600)
-    for _ in range(300):
-        a, b = rng.randrange(G.order), rng.randrange(G.order)
-        assert G.element(int(T[a, b])) == G.element(a) * G.element(b)
+    a = np.array([rng.randrange(G.order) for _ in range(300)])
+    b = np.array([rng.randrange(G.order) for _ in range(300)])
+    products, conjugates = G.mul(a, b), G.conj(a, b)
+    for x, y, xy, yxy in zip(a.tolist(), b.tolist(), products.tolist(), conjugates.tolist()):
+        assert G.element(int(T[x, y])) == G.element(x) * G.element(y)
+        assert G.element(xy) == G.element(x) * G.element(y)
+        assert G.element(yxy) == G.element(y).inverse() * G.element(x) * G.element(y)
+    # coset_least on the cyclic subgroup of the rotation, closed by Permutation products
+    H, p = [0], rotation
+    while not p.is_identity():
+        H.append(G.index_of(p))
+        p = p * rotation
+    H = np.array(sorted(H))
+    ys = np.array(sorted(rng.sample(range(G.order), 50)))
+    least = [min(G.index_of(G.element(h) * G.element(y)) for h in H.tolist()) for y in ys.tolist()]
+    assert G.coset_least(H, ys).tolist() == least
 
 
 def test_index_of_rejects_non_members(psl33):
@@ -430,7 +506,6 @@ def _normalizer_by_definition(G: pg.GroupTable, H: tuple[int, ...]) -> list[int]
 def test_normalizing_matches_definition(request, group, orders):
     G = request.getfixturevalue(group)
     T = G.mul_table()
-    inv = G.inverse_indices()
     everything = np.arange(G.order, dtype=np.int64)
     for m in orders:
         classes = pg.subgroups_of_order(G, m)
@@ -439,7 +514,7 @@ def test_normalizing_matches_definition(request, group, orders):
             in_H = np.zeros(G.order, dtype=bool)
             in_H[list(sub.indices)] = True
             gens = _small_generating_set(T, sub.indices)
-            got = pg._normalizing(T, inv, in_H, gens, everything)
+            got = pg._normalizing(G, in_H, gens, everything)
             expected = _normalizer_by_definition(G, sub.indices)
             assert [int(x) for x in got] == expected
             assert list(pg.normalizer(sub).indices) == expected
@@ -635,9 +710,10 @@ def test_stored_lattice_records_pinned(group, sequence, digest):
 
 
 def _counting(monkeypatch, fail_at: int | None = None) -> list[int]:
-    """Count pg.sorted_rows calls (one per class gathered); raise on call fail_at."""
+    """Count pg._row_keys calls (one per class gathered, to pick its least
+    conjugate); raise on call fail_at."""
     calls = [0]
-    inner = pg.sorted_rows
+    inner = pg._row_keys
 
     def counted(a):
         calls[0] += 1
@@ -645,7 +721,7 @@ def _counting(monkeypatch, fail_at: int | None = None) -> list[int]:
             raise RuntimeError("interrupted")
         return inner(a)
 
-    monkeypatch.setattr(pg, "sorted_rows", counted)
+    monkeypatch.setattr(pg, "_row_keys", counted)
     return calls
 
 

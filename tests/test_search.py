@@ -40,8 +40,12 @@ def test_job_inadmissible_b(psl33):
 
 
 def _candidates(H, k):
-    """The candidate point sets `_candidate_chunks` yields, concatenated, as tuples."""
-    return [tuple(row) for chunk in sr._candidate_chunks(H, k) for row in chunk.tolist()]
+    """The candidate point sets of `_candidate_chunks`, concatenated, as tuples;
+    as many as the total it reports."""
+    total, chunks = sr._candidate_chunks(H, k)
+    cands = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+    assert len(cands) == total
+    return cands
 
 
 def test_orbit_union_trivial_subgroup(sym4):
@@ -118,7 +122,7 @@ def _filter_survivors(job):
     """Every candidate of every stabilizer class that passes the proportionality filter."""
     labels, sizes = pg.pair_orbit_table(job.group)
     for H in pg.subgroups_of_order(job.group, job.stabilizer_order):
-        for chunk in sr._candidate_chunks(H, job.k):
+        for chunk in sr._candidate_chunks(H, job.k)[1]:
             keep = sr._proportionality_filter(chunk, labels, sizes, job.lam, job.b)
             yield from (tuple(row) for row in chunk[keep].tolist())
 
@@ -150,7 +154,7 @@ def test_transversal_orbit_is_the_full_orbit(psl33, lam):
     survivors = 0
     for H in pg.subgroups_of_order(psl33, job.stabilizer_order):
         n_rows = pg.normalizer(H).images_array()
-        for chunk in sr._candidate_chunks(H, job.k):
+        for chunk in sr._candidate_chunks(H, job.k)[1]:
             keep = sr._proportionality_filter(chunk, labels, sizes, job.lam, job.b)
             canonical = [b for b in chunk[keep] if np.array_equal(pg.set_orbit(n_rows, b)[0], b)]
             survivors += len(canonical)
