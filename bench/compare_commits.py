@@ -28,7 +28,9 @@ tests/test_iso.py::test_bijections_pinned.  `digests(checkout)` computes these
 outputs alone, and `check_digests(checkout)` prints them and returns 1 when
 the search files differ from SEARCH_FILES_SHA256 (CI runs it).  The JSON
 written to --out holds every run, the median and quartiles of each
-end-to-end metric, and in how many pairs the change was lower.
+end-to-end metric, in how many pairs the change was lower, the ratio of the
+two medians (`change_over_parent`) and `over_bound`, true when that ratio is
+above 1 plus the metric's `bound` in BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -174,16 +176,22 @@ def quartiles(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4), "n": len(values)}
 
 
-def summarize(pairs: list[dict], metrics: list[str]) -> dict:
+def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
+    """Quartiles of each metric on both sides, the pairs where the change was
+    lower, the ratio of the medians (change over parent), and whether that
+    ratio is above 1 + the metric's bound in BENCHMARK.json."""
     out = {}
-    for metric in metrics:
+    for metric, bound in bounds.items():
         parent = [p["parent"][metric] for p in pairs]
         change = [p["change"][metric] for p in pairs]
         lower = sum(c < p for p, c in zip(parent, change))
+        ratio = statistics.median(change) / statistics.median(parent)
         out[metric] = {
             "parent": quartiles(parent),
             "change": quartiles(change),
             "change_lower_in": f"{lower}/{len(pairs)}",
+            "change_over_parent": round(ratio, 4),
+            "over_bound": ratio > 1 + bound,
         }
     return out
 
@@ -201,7 +209,7 @@ def main() -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    end_to_end = [m["name"] for m in spec["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     doc: dict = {
         "what": args.what,
@@ -224,7 +232,7 @@ def main() -> int:
                 pair[side] = run_bench(sides[side], workload, seed, args.seconds, 0)
             runs[workload].append(pair)
             print(workload, seed, {s: pair[s]["wall_s"] for s in order}, file=sys.stderr)
-    doc["pairs"]["summary"] = {w: summarize(runs[w], end_to_end) for w in workloads}
+    doc["pairs"]["summary"] = {w: summarize(runs[w], bounds) for w in workloads}
     doc["pairs"]["all_correct"] = all(
         p[s]["correct"] and p[s]["failed"] == 0
         for w in workloads for p in runs[w] for s in sides)

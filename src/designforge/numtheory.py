@@ -30,7 +30,12 @@ _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 # whose two primes p - 1 and q - 1 both divide E still splits when they fall
 # in different chunks; stage 2 pairs the primes kW - j and kW + j, W =
 # _PM1_W, in one product term (Montgomery, Math. Comp. 48, 1987).
-_BRENT_SHORT_R = 1 << 13
+# The short budget is 2^10: replaying the default screen's 750 cofactors, the
+# cofactor stage took 1.14 s at 2^13 and 0.90-0.93 s at every budget from 2^6
+# to 2^10, while 2^13 spent 0.45 s on 42 short runs that failed.  The short run
+# with seed 1 is a prefix of the seed-1 full run, so the budget only decides
+# which route splits a cofactor, never whether it splits.
+_BRENT_SHORT_R = 1 << 10
 _BRENT_SEEDS = 8
 _BRENT_MAX_R = 1 << 22
 _PM1_B1 = 50_000
@@ -223,8 +228,10 @@ def factorize(n: int) -> dict[int, int]:
 
     Every key is a proven prime when it is below _MR_PROVEN_BELOW, and a
     strong probable prime to the 13 bases of `is_prime` above it.  A
-    composite cofactor is split by a short Pollard-Brent run, then one
-    Pollard p-1 run, then Pollard-Brent with seeds 1.._BRENT_SEEDS.  Raises
+    composite cofactor is split by a short Pollard-Brent run (cycle length up
+    to _BRENT_SHORT_R = 2^10, the fastest budget on the screen's cofactors;
+    see the comment at the constant), then one Pollard p-1 run, then
+    Pollard-Brent with seeds 1.._BRENT_SEEDS.  Raises
     FactorizationError when a cofactor resists them all, rather than
     returning it as a key.
     """

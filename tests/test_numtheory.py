@@ -80,6 +80,38 @@ def test_pollard_pm1_fails_and_rho_still_splits():
     assert nt.factorize(n) == {p: 1, q: 1}
 
 
+def _random_prime(rng, bits):
+    while True:
+        m = rng.randrange(1 << (bits - 1), 1 << bits)
+        if nt.is_prime(m):
+            return m
+
+
+def test_short_brent_budget_only_moves_work_between_routes(monkeypatch):
+    # the short run with seed 1 is a prefix of the full seed-1 run: where it
+    # splits n, the full run returns the same factor, so the budget decides
+    # which route splits a cofactor and never the factorization
+    rng = random.Random(34)
+    split = 0
+    for bits in (12, 16, 20, 24, 28):
+        for _ in range(8):
+            n = math.prod(_random_prime(rng, bits) for _ in range(2))
+            d = nt._pollard_brent(n, 1, nt._BRENT_SHORT_R)
+            if d != n:
+                split += 1
+                assert d == nt._pollard_brent(n, 1)
+    assert 0 < split < 40
+    pinned = {
+        88709167 * 149854447: {88709167: 1, 149854447: 1},
+        70893057541769 * 11941535633149: {70893057541769: 1, 11941535633149: 1},
+        1000003 * 1000033: {1000003: 1, 1000033: 1},
+    }
+    for short_r in (1 << 4, 1 << 7, 1 << 10, 1 << 13):
+        monkeypatch.setattr(nt, "_BRENT_SHORT_R", short_r)
+        for n, factors in pinned.items():
+            assert nt.factorize(n) == factors
+
+
 def test_factorization_error_names_what_ran(monkeypatch):
     message = r"by 8 Pollard-Brent rounds and a Pollard p-1 run to B1=50000, B2=2000000$"
     pm1 = nt._pollard_pm1
