@@ -344,7 +344,7 @@ def test_parts_over_p_split_hard_cyclotomic_cofactors(monkeypatch, n, q):
     # a Pollard p-1 run; over p and the Phi_e(p), e | if, q = p^f, it splits
     # algebraically (Phi_11(17^2) = Phi_11(17)·Phi_22(17)), so factorize's
     # stack never holds it.  Some parts over p still reach p-1: at (11, 841)
-    # and (11, 961) a 49- and a 50-bit cofactor of Phi_11(p) or Phi_22(p)
+    # and (11, 961) a 49- and a 50-bit cofactor of Phi_11(p) or Phi_22(p) do
     is_prime, pm1 = nt.is_prime, nt._pollard_pm1
     met, runs = [], []
     monkeypatch.setattr(nt, "is_prime", lambda m: met.append(m) or is_prime(m))
