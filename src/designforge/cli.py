@@ -9,7 +9,6 @@ parameters, and wall time.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -64,6 +63,8 @@ def _write_outputs(
 ) -> list[Path]:
     """Write each {file name: document} entry, then the manifest that lists
     them in that order; return the written paths, manifest excluded."""
+    import hashlib  # here, not at the top: it maps OpenSSL, and only a manifest needs it
+
     paths = [out_dir / name for name in docs]
     for path, doc in zip(paths, docs.values()):
         _dump_json(path, doc)

@@ -103,7 +103,9 @@ def is_prime(n: int) -> bool:
 def _pollard_brent(n: int, seed: int = 1, max_r: int = _BRENT_MAX_R) -> int:
     """One Brent-cycle attempt; returns a nontrivial factor or n on failure.
 
-    The attempt gives up once the cycle length r would exceed max_r.
+    The attempt runs rounds of cycle length r = 1, 2, 4, ..., max_r and gives
+    up before a round longer than max_r; a factor found in the last round is
+    kept.
     """
     if n % 2 == 0:
         return 2
@@ -111,6 +113,8 @@ def _pollard_brent(n: int, seed: int = 1, max_r: int = _BRENT_MAX_R) -> int:
     g = r = q = 1
     x = ys = y
     while g == 1:
+        if r > max_r:
+            return n
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -123,8 +127,6 @@ def _pollard_brent(n: int, seed: int = 1, max_r: int = _BRENT_MAX_R) -> int:
             g = math.gcd(q, n)
             k += m
         r *= 2
-        if r > max_r:
-            return n
     if g == n:
         while True:
             ys = (ys * ys + c) % n

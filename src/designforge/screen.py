@@ -22,9 +22,8 @@ in the report notes rather than silently adopted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NonDivisibleError, ScreenError
 from .numtheory import (
@@ -119,14 +118,23 @@ def gaussian_binomial(n: int, i: int, q: int) -> int:
 # case specifications
 
 
-@dataclass(frozen=True)
-class PrimePower:
+# The records are NamedTuples, so the screen path loads neither `dataclasses`
+# nor the `inspect` it imports.  A record with checks is a subclass whose
+# __new__ validates the fields of its NamedTuple base.
+
+
+class _PrimePowerFields(NamedTuple):
     p: int
     f: int
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.f < 1:
-            raise ValueError(f"p = {self.p}, f = {self.f}: p must be prime and f >= 1")
+
+class PrimePower(_PrimePowerFields):
+    __slots__ = ()
+
+    def __new__(cls, p: int, f: int) -> PrimePower:
+        if not is_prime(p) or f < 1:
+            raise ValueError(f"p = {p}, f = {f}: p must be prime and f >= 1")
+        return super().__new__(cls, p, f)
 
     @property
     def q(self) -> int:
@@ -138,21 +146,28 @@ class PrimePower:
         return cls(p, f)
 
 
-@dataclass(frozen=True)
-class CaseSpec:
-    """One candidate maximal-subgroup case for the socle PSL(n, q)."""
-
+class _CaseSpecFields(NamedTuple):
     family: str
     n: int
     q: PrimePower
-    params: tuple[tuple[str, int | str], ...] = ()
+    params: tuple[tuple[str, int | str], ...]
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ScreenError(f"unknown family {self.family!r}")
-        if self.n < 3:
+
+class CaseSpec(_CaseSpecFields):
+    """One candidate maximal-subgroup case for the socle PSL(n, q)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, family: str, n: int, q: PrimePower, params: tuple[tuple[str, int | str], ...] = ()
+    ) -> CaseSpec:
+        if family not in FAMILIES:
+            raise ScreenError(f"unknown family {family!r}")
+        if n < 3:
             raise ScreenError("n >= 3 required")
-        _validate_case(self)
+        case = super().__new__(cls, family, n, q, params)
+        _validate_case(case)
+        return case
 
     def get(self, key: str, default=None):
         return dict(self.params).get(key, default)
@@ -386,8 +401,7 @@ def bound_gate(
 # reports
 
 
-@dataclass
-class ScreenReport:
+class ScreenReport(NamedTuple):
     case: CaseSpec
     x_order: int
     out_order: int

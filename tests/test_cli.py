@@ -77,10 +77,12 @@ def test_screen_non_divisible_is_internal(monkeypatch, capsys):
 
 
 def test_screen_runs_without_the_group_stack():
-    # the screen path is integer arithmetic: numpy and the group modules stay unloaded
+    # the screen path is integer arithmetic: numpy and the group modules stay
+    # unloaded, and so do hashlib (it maps OpenSSL; only --out needs it) and
+    # dataclasses, with the inspect it imports
     src = Path(__file__).resolve().parents[1] / "src"
     heavy = ["numpy", "designforge.permgroup", "designforge.search", "designforge.iso",
-             "designforge.design"]
+             "designforge.design", "hashlib", "_hashlib", "dataclasses", "inspect"]
     code = (
         "import sys; from designforge import cli; "
         "rc = cli.main(['screen', '--family', 'C3', '--n', '3', '--q', '3']); "

@@ -80,6 +80,16 @@ def test_pollard_pm1_fails_and_rho_still_splits():
     assert nt.factorize(n) == {p: 1, q: 1}
 
 
+def test_short_brent_keeps_a_factor_found_in_its_last_round():
+    # a cofactor of the default screen that the round of cycle length
+    # _BRENT_SHORT_R splits, and no shorter budget does
+    n = 1399202805691
+    assert n == 982351 * 1424341
+    assert nt._pollard_brent(n, 1, nt._BRENT_SHORT_R // 2) == n
+    assert nt._pollard_brent(n, 1, nt._BRENT_SHORT_R) == 982351
+    assert nt._pollard_brent(n, 1) == 982351
+
+
 def _random_prime(rng, bits):
     while True:
         m = rng.randrange(1 << (bits - 1), 1 << bits)

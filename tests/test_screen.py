@@ -379,6 +379,34 @@ def test_prime_power_accepts_a_prime_p():
     assert sc.PrimePower(2, 3).q == 8
 
 
+@pytest.mark.parametrize(
+    ("family", "n", "q", "params", "message"),
+    [
+        ("C9", 3, 3, (), "unknown family 'C9'"),
+        ("C3", 2, 3, (("i", 1), ("theta", 2)), "n >= 3 required"),
+        ("C1", 4, 3, (("i", 4),), "C1 needs a subspace dimension"),
+        ("C1'", 5, 3, (("i", 1), ("kind", "other")), "C1' needs kind"),
+        ("C1'", 4, 3, (("i", 2), ("kind", "contained")), "C1' needs 1 <= i < n/2"),
+        ("C2", 6, 3, (("a", 2), ("e", 2)), "C2 needs n = a\\*e"),
+        ("C3", 4, 3, (("i", 1), ("theta", 4)), "C3 needs theta prime"),
+        ("C3", 6, 3, (("i", 2), ("theta", 2)), "C3 needs n = i\\*theta"),
+        ("C4", 4, 3, (("i", 2),), "C4 needs a proper tensor split"),
+        ("C5", 3, 16, (("q0", 2), ("u", 4)), "C5 needs prime index u"),
+        ("C5", 3, 9, (("q0", 2), ("u", 2)), "C5 needs q = q0\\^u"),
+        ("C6", 4, 3, (("i", 1), ("omega", 4)), "C6 needs omega prime"),
+        ("C7", 9, 3, (("i", 3), ("ell", 3)), "C7 needs n = i\\^ell"),
+        ("C8s", 5, 3, (), "symplectic case needs even n"),
+        ("C8o", 3, 4, (), "orthogonal case needs odd q"),
+        ("C8o", 4, 3, (("epsilon", 0),), "even orthogonal case needs epsilon"),
+        ("C8u", 3, 8, (("q0", 2),), "unitary case needs q = q0\\^2"),
+        ("S", 3, 3, (("name", "A6"),), "S-family cases carry a named subgroup"),
+    ],
+)
+def test_case_spec_rejects_a_broken_rule(family, n, q, params, message):
+    with pytest.raises(sc.ScreenError, match=message):
+        sc.CaseSpec(family, n, sc.PrimePower.of(q), params)
+
+
 def test_screen_reports_pinned(all_reports):
     # sha256 of every report's full JSON form: orders, bounds, gates,
     # subdegrees and notes as well as the point counts
