@@ -1,16 +1,14 @@
 """Exhaustive enumeration of block-transitive 2-(k^2, k, lambda) designs for a
 materialized group: candidate base blocks are unions of orbits of stabilizer-
-sized subgroups, filtered by an exact pair-orbit proportionality test, cut to
-the least member of each orbit of the subgroup's normalizer (so each design is
-reached from one candidate; see `run`), then verified by orbit size (which
-fixes the set-stabilizer order) and full pair counting.
+sized subgroups, found by one orderly search that prunes by exact pair-orbit
+counts and keeps the least orbit-index tuple under the subgroup's normalizer
+(so each design is reached from one candidate; see `run`), then verified by
+orbit size (which fixes the set-stabilizer order) and full pair counting.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
 
 import numpy as np
 
@@ -23,13 +21,11 @@ from .permgroup import (
     normalizer,
     orbits,
     pair_orbit_table,
-    set_orbit,
     set_stabilizer,
     subgroups_of_order,
 )
 
 MAX_CANDIDATES = 1_000_000
-_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -89,70 +85,80 @@ class SearchResult:
         return len(self.records)
 
 
-def _candidate_chunks(H: Subgroup, k: int):
-    """(total, chunks): the number of candidate point sets, every union of
-    H-orbits with k points, and an iterator of (n, k) int arrays of them, in
-    deterministic order, each row sorted.
+def _base_blocks(
+    H: Subgroup, k: int, labels: np.ndarray, sizes: np.ndarray
+) -> tuple[int, list[np.ndarray]]:
+    """(total, bases): the number of k-point unions of H-orbits, and those
+    unions, as sorted point arrays, that meet each G-orbit O of point pairs in
+    |O|/(k(k+1)) pairs and whose sorted tuple of H-orbit indices is the least
+    of its images under N_G(H).
 
-    The orbits and the composition patterns (how many orbits of each length)
-    are computed once; more than MAX_CANDIDATES candidates raise
-    CandidateExplosionError before any chunk is built.
+    A design with b = lambda*k*(k+1) blocks covers each pair of O lambda
+    times, and its blocks form one G-orbit, so each block meets O in
+    lambda*|O|/b = |O|/(k(k+1)) pairs, whatever lambda is.  The search
+    extends each union by later orbits only.  Counts only grow, so a union
+    above the target on some O is dropped with every extension; the targets
+    sum to C(k,2), so a union of k points at or below every target meets each
+    exactly.  Deleting the largest index of a least tuple leaves a least
+    tuple: inserting one index into a sorted tuple raises none of its
+    entries, so an image of the shorter tuple below it would give an image of
+    the whole tuple below it.  So dropping the tuples that are not least
+    loses no prefix of one that is, and each least tuple is reached once.
+    More than MAX_CANDIDATES unions raise CandidateExplosionError before the
+    search.
     """
-    by_len: dict[int, list[tuple[int, ...]]] = {}
-    for orb in orbits(H):
-        by_len.setdefault(len(orb), []).append(orb)
-    lengths = sorted(by_len)
-    # counts[i] orbits of length lengths[i], for every choice with k points
-    patterns = [
-        counts
-        for counts in product(*(range(min(len(by_len[ln]), k // ln) + 1) for ln in lengths))
-        if sum(c * ln for c, ln in zip(counts, lengths)) == k
-    ]
-    total = sum(
-        math.prod(math.comb(len(by_len[ln]), c) for ln, c in zip(lengths, counts))
-        for counts in patterns
-    )
+    orbs = orbits(H)
+    lens = np.array([len(o) for o in orbs])
+    ways = [1] + [0] * k  # ways[s]: unions of the orbits so far with s points
+    for ln in lens.tolist():
+        ways[ln:] = [w + x for w, x in zip(ways[ln:], ways)]
+    total = ways[k]
     if total > MAX_CANDIDATES:
         raise CandidateExplosionError(
             f"{total} orbit-union candidates for one subgroup class exceed "
             f"the {MAX_CANDIDATES} guard"
         )
-
-    def chunks():
-        for counts in patterns:
-            groups = []
-            for ln, c in zip(lengths, counts):
-                if c:
-                    orb_arr = np.array(by_len[ln], dtype=np.int64)  # (n_orbits, ln)
-                    combos = np.array(list(combinations(range(len(orb_arr)), c)), dtype=np.int64)
-                    groups.append(orb_arr[combos].reshape(len(combos), c * ln))
-            sizes = [g.shape[0] for g in groups]
-            count = math.prod(sizes)
-            for start in range(0, count, _CHUNK):
-                idx = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), sizes)
-                block = np.concatenate([g[i] for g, i in zip(groups, idx)], axis=1)
-                block.sort(axis=1)
-                yield block
-
-    return total, chunks()
-
-
-def _proportionality_filter(
-    cands: np.ndarray, labels: np.ndarray, sizes: np.ndarray, lam: int, b: int
-) -> np.ndarray:
-    """Keep candidates whose pairs hit every pair-orbit O with count lam*|O|/b.
-
-    Any base block of an accepted design satisfies this exactly, so the filter
-    never rejects a true block; survivors still face the full verification.
-    """
-    n, k = cands.shape
-    n_lab = len(sizes)
-    iu, ju = np.triu_indices(k, k=1)
-    lab = labels[cands[:, iu], cands[:, ju]]  # (n, k*(k-1)/2)
-    flat = lab + (np.arange(n, dtype=np.int64) * n_lab)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=n * n_lab).reshape(n, n_lab)
-    ok = (counts.astype(np.int64) * b == lam * sizes[None, :]).all(axis=1)
-    return ok
+    target, rest = np.divmod(sizes, k * (k + 1))
+    if total == 0 or rest.any():
+        return total, []
+    r, n_lab = len(orbs), len(sizes)
+    orb_of = np.empty(len(labels), dtype=np.int64)
+    orb_of[np.concatenate(orbs)] = np.repeat(np.arange(r), lens)
+    # pair[i, j, l]: the ordered pairs (p, q), p in orbit i and q in orbit j,
+    # in pair orbit l; so orbit i's own pairs are counted twice in pair[i, i].
+    # Slot 0 of each (i, j) takes the diagonal's label -1, and is dropped
+    w = n_lab + 1
+    key = (orb_of * (r * w) + 1)[:, None] + orb_of * w + labels
+    pair = np.bincount(key.ravel(), minlength=r * r * w).reshape(r, r, w)[..., 1:]
+    own = pair[np.arange(r), np.arange(r)] // 2
+    # the distinct permutations of the H-orbits induced by N_G(H)
+    perms = orb_of[normalizer(H).images_array()[:, [o[0] for o in orbs]]]
+    perms = perms[np.lexsort(perms.T)]
+    perms = perms[np.r_[True, (perms[1:] != perms[:-1]).any(axis=1)]]
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    counts = np.zeros((1, n_lab), dtype=np.int64)
+    points = np.zeros(1, dtype=np.int64)
+    leaves = []
+    while len(tuples):
+        last = tuples[:, -1] if tuples.shape[1] else np.full(1, -1)
+        parent, j = np.nonzero(np.arange(r) > last[:, None])
+        pts = points[parent] + lens[j]
+        fits = pts <= k
+        parent, j, pts = parent[fits], j[fits], pts[fits]
+        cnt = counts[parent] + own[j] + pair[tuples[parent], j[:, None]].sum(axis=1)
+        fits = (cnt <= target).all(axis=1)
+        tuples = np.column_stack([tuples[parent[fits]], j[fits]])
+        counts, points = cnt[fits], pts[fits]
+        # drop each tuple with an image that is lexicographically smaller:
+        # one whose first entry that differs from the tuple's is below it
+        diff = np.sort(perms[:, tuples], axis=2) - tuples
+        first = (diff != 0).argmax(axis=2)[..., None]
+        least = ~(np.take_along_axis(diff, first, 2) < 0).any(axis=(0, 2))
+        tuples, counts, points = tuples[least], counts[least], points[least]
+        leaf = points == k
+        leaves.extend(tuples[leaf])
+        tuples, counts, points = tuples[~leaf], counts[~leaf], points[~leaf]
+    return total, [np.sort(np.concatenate([orbs[i] for i in t])) for t in leaves]
 
 
 def run(job: SearchJob) -> SearchResult:
@@ -165,24 +171,30 @@ def run(job: SearchJob) -> SearchResult:
     stabilizer, b = |G|/m blocks in the orbit is the same as a set stabilizer
     of exactly the forced order m.
 
-    Each design is reached from exactly one candidate, the least of its
-    H-invariant blocks, so no state is shared across candidates:
+    Each design is reached from exactly one candidate, so no state is shared
+    across candidates:
 
     * Let B be an accepted candidate for H.  Its orbit has b blocks and
       H <= G_B, so G_B = H.
     * Another block B^g of the same design is H-invariant iff H <= G_(B^g) =
       g^-1 H g, that is iff g is in N_G(H).  So the design's H-invariant
       blocks form one N_G(H)-orbit.
-    * Every block in that orbit is a candidate: it is an H-invariant k-set,
-      so a union of H-orbits, and the proportionality filter is G-invariant.
+    * Every block in that orbit is a union of H-orbits, since it is an
+      H-invariant k-set, and it meets each pair orbit O as B does, since O is
+      G-invariant.  N_G(H) permutes the H-orbits, and g maps the union of
+      the orbits with indices S onto the union of those with indices g(S).
+      So the blocks in that orbit are the index sets of one orbit under these
+      permutations, and `_base_blocks` returns exactly one of them: the set
+      whose sorted index tuple is least, which need not be the least point
+      set.
     * Designs from different classes have non-conjugate block stabilizers,
       so they are disjoint.
 
-    So a filter survivor is processed only when it is the least member of
-    its N_G(H)-orbit.  Its orbit is read from the least element of each
-    right coset of H (`from_base_block` with H, as H <= G_B), so from
-    |G:H| = b rows; when G_B is larger than H it has fewer than b blocks,
-    and B is rejected.
+    The orbit of a base block is read from the least element of each right
+    coset of H (`from_base_block` with H, as H <= G_B), so from |G:H| = b
+    rows; when G_B is larger than H it has fewer than b blocks, and B is
+    rejected.  The designs are sorted before `iso_classes`, so each record is
+    still its class's least design, whichever block reached it.
     """
     G = job.group
     m = job.stabilizer_order
@@ -192,17 +204,12 @@ def run(job: SearchJob) -> SearchResult:
     designs: list[Design] = []
     tested = 0
     for H in subgroups_of_order(G, m):
-        normalizer_rows = normalizer(H).images_array()
-        total, chunks = _candidate_chunks(H, job.k)
+        total, bases = _base_blocks(H, job.k, labels, sizes)
         tested += total
-        for chunk in chunks:
-            keep = _proportionality_filter(chunk, labels, sizes, job.lam, job.b)
-            for base in chunk[keep]:
-                if not np.array_equal(set_orbit(normalizer_rows, base)[0], base):
-                    continue
-                D = from_base_block(G, base, H)
-                if D.b == job.b and lambda_of(D, 2) == job.lam:
-                    designs.append(D)
+        for base in bases:
+            D = from_base_block(G, base, H)
+            if D.b == job.b and lambda_of(D, 2) == job.lam:
+                designs.append(D)
     # sorted, so each class's first member (classes keep input order) is its least
     designs.sort(key=order_key)
     classes = iso_classes(designs, group=G) if designs else []
@@ -218,8 +225,8 @@ def full_sweep(group: GroupTable, k: int) -> dict[int, SearchResult]:
 
     lambda = 1 is excluded because 2-(k^2,k,1) designs are affine planes, out
     of the source paper's scope (AG(2,3) is flag-transitive under 3^2:SL(2,3)).
-    Neither shipped group has a subgroup of the forced order, 36 or 72, so
-    there it is empty.  A single `run` with lambda = 1 still searches it.
+    On the shipped groups no subgroup of the forced order, 36 or 72, has a
+    union of orbits with 12 points, so there it is empty.  A single `run` with lambda = 1 still searches it.
     """
     if k < 1:
         raise ValueError("k must be positive")

@@ -35,6 +35,7 @@ from conftest import (
     BASE_BLOCK_LAMBDA3_TWIN,
     BASE_BLOCK_LAMBDA6,
     BASE_BLOCK_LAMBDA12_PUBLISHED,
+    oracle_bases,
 )
 
 
@@ -183,7 +184,8 @@ def test_iso_lambda12_pairs_by_the_normalizer(psl33, psl_sweep, monkeypatch):
 
 
 # per class of order-3 subgroups H, in class order: |N_G(H)|, filter
-# survivors, canonical survivors (least in their N_G(H)-orbit), accepted designs
+# survivors, canonical survivors (least in their N_G(H)-orbit, as many as the
+# base blocks of the orderly search), accepted designs
 LAMBDA12_AUDIT = [(18, 1056, 176, 174), (108, 288, 8, 8)]
 
 
@@ -193,9 +195,11 @@ def _fixed_blocks(K: pg.Subgroup, D: dz.Design) -> np.ndarray:
 
 
 def test_criterion_3_lambda12_mass_audit(psl33, psl_sweep):
-    # completeness of the lambda = 12 enumeration: every filter survivor is an
-    # H-invariant block of an accepted design, or an N_G(H)-image of one of
-    # the two canonical survivors whose orbits are the lambda = 3 block sets
+    # completeness of the lambda = 12 enumeration: every filter survivor of
+    # the exhaustive oracle is an H-invariant block of an accepted design, or
+    # an N_G(H)-image of one of the two canonical survivors whose orbits are
+    # the lambda = 3 block sets; the orderly search returns as many base
+    # blocks per class as there are canonical survivors
     results, _ = psl_sweep
     job = sr.SearchJob(psl33, 12, 12)
     labels, sizes = pg.pair_orbit_table(psl33)
@@ -205,12 +209,8 @@ def test_criterion_3_lambda12_mass_audit(psl33, psl_sweep):
     for H in classes:
         N = pg.normalizer(H)
         n_rows = N.images_array()
-        survivors = [
-            base
-            for chunk in sr._candidate_chunks(H, job.k)[1]
-            for base in chunk[sr._proportionality_filter(chunk, labels, sizes, job.lam, job.b)]
-        ]
-        canonical = [b for b in survivors if np.array_equal(pg.set_orbit(n_rows, b)[0], b)]
+        _, survivors, canonical = oracle_bases(H, job.k, job.lam)
+        assert len(sr._base_blocks(H, job.k, labels, sizes)[1]) == len(canonical)
         designs, audited = [], set()
         for base in canonical:
             D = dz.Design(psl33.degree, pg.set_orbit(rows, base))
@@ -245,6 +245,45 @@ def test_criterion_3_lambda12_mass_audit(psl33, psl_sweep):
     found = {D for designs in accepted for D in designs}
     assert len(found) == results[12].distinct_block_sets == 182
     assert all(D in found for D in results[12].designs)
+
+
+# per shipped group: the base blocks of `_base_blocks` per order-3 class P
+# at k = 12, the designs their orbits give by lambda, and |G:N_G(P)| per class
+ORDER3_PASS = {
+    "psl33": ([176, 8], {3: 2, 12: 182}, [312, 52]),
+    "pgl33": ([88, 4], {6: 1, 24: 91}, [312, 52]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER3_PASS))
+def test_order3_pass_meets_every_design_of_the_sweep(name, request):
+    # completeness apart from the subgroup lattice of composite order.  3
+    # divides every forced stabilizer order m = |G|/(156 lambda) of both
+    # sweeps, so by Cauchy's theorem every block stabilizer G_B holds a
+    # conjugate of some order-3 class representative P, and some block B of
+    # the design is P-invariant.  B is a union of P-orbits that meets each
+    # pair orbit in its lambda-free target, and its N_G(P)-orbit holds one
+    # base block of `_base_blocks(P, 12, ...)`.  So the orbits of those base
+    # blocks meet every design of every lambda; the class equation at order
+    # 3 shows that the order-3 classes are all of them
+    G = request.getfixturevalue(name)
+    results = request.getfixturevalue(name[:3] + "_sweep")[0]
+    labels, sizes = pg.pair_orbit_table(G)
+    classes = pg.subgroups_of_order(G, 3)
+    leaves, found = [], {}
+    for P in classes:
+        bases = sr._base_blocks(P, 12, labels, sizes)[1]
+        leaves.append(len(bases))
+        for base in bases:
+            D = dz.from_base_block(G, base, P)
+            if D.b % 156 == 0 and dz.lambda_of(D, 2) == D.b // 156:
+                found.setdefault(D.b // 156, set()).add(D)
+    indices = [G.order // pg.normalizer(P).order for P in classes]
+    assert (leaves, {lam: len(ds) for lam, ds in found.items()}, indices) == ORDER3_PASS[name]
+    assert int((G.element_orders() == 3).sum()) == sum(indices) * 2 == 728
+    for lam, res in results.items():
+        assert len(found.get(lam, ())) == res.distinct_block_sets
+        assert all(D in found[lam] for D in res.designs)
 
 
 @pytest.mark.xfail(

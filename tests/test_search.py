@@ -9,7 +9,7 @@ from designforge import design as dz
 from designforge import permgroup as pg
 from designforge import search as sr
 
-from conftest import BASE_BLOCK_LAMBDA3
+from conftest import BASE_BLOCK_LAMBDA3, oracle_bases, orbit_union_chunks
 
 
 # ---------------------------------------------------------------------------
@@ -40,11 +40,16 @@ def test_job_inadmissible_b(psl33):
 
 
 def _candidates(H, k):
-    """The candidate point sets of `_candidate_chunks`, concatenated, as tuples;
-    as many as the total it reports."""
-    total, chunks = sr._candidate_chunks(H, k)
+    """The k-point unions of H-orbits of the exhaustive oracle, as tuples; as
+    many as the total it reports, which is the total `_base_blocks` counts.
+    Every base block that `_base_blocks` returns is one of them."""
+    total, chunks = orbit_union_chunks(H, k)
     cands = [tuple(row) for chunk in chunks for row in chunk.tolist()]
     assert len(cands) == total
+    labels, sizes = pg.pair_orbit_table(H.parent)
+    new_total, bases = sr._base_blocks(H, k, labels, sizes)
+    assert new_total == total
+    assert {tuple(base.tolist()) for base in bases} <= set(cands)
     return cands
 
 
@@ -119,12 +124,10 @@ def test_s4_sweep(sym4):
 
 
 def _filter_survivors(job):
-    """Every candidate of every stabilizer class that passes the proportionality filter."""
-    labels, sizes = pg.pair_orbit_table(job.group)
+    """Every orbit union of every stabilizer class that passes the oracle's
+    pair-orbit filter."""
     for H in pg.subgroups_of_order(job.group, job.stabilizer_order):
-        for chunk in sr._candidate_chunks(H, job.k)[1]:
-            keep = sr._proportionality_filter(chunk, labels, sizes, job.lam, job.b)
-            yield from (tuple(row) for row in chunk[keep].tolist())
+        yield from (tuple(row.tolist()) for row in oracle_bases(H, job.k, job.lam)[1])
 
 
 @pytest.mark.parametrize("group,k,lam", [("sym4", 2, 1), ("sym4", 2, 2), ("psl33", 12, 3)])
@@ -143,24 +146,51 @@ def test_orbit_length_fixes_stabilizer_order(group, k, lam, request):
         assert (orbit_len == job.b) == (stab_order == job.stabilizer_order)
 
 
+@pytest.mark.parametrize(
+    "group,k,lam",
+    [("sym4", 2, 1), ("sym4", 2, 2),
+     *(("psl33", 12, lam) for lam in (1, 2, 3, 4, 6, 12)),
+     *(("pgl33", 12, lam) for lam in (1, 2, 3, 4, 6, 12))],
+)
+def test_base_blocks_match_the_exhaustive_oracle(group, k, lam, request):
+    # for every class H of the forced order, the orderly search counts the
+    # oracle's orbit unions, and its base blocks, one per N_G(H)-orbit of
+    # filter survivors, reach the designs of the oracle's canonical survivors
+    G = request.getfixturevalue(group)
+    job = sr.SearchJob(G, k, lam)
+    labels, sizes = pg.pair_orbit_table(G)
+    leaves = []
+    for H in pg.subgroups_of_order(G, job.stabilizer_order):
+        total, _, canonical = oracle_bases(H, k, lam)
+        new_total, bases = sr._base_blocks(H, k, labels, sizes)
+        assert new_total == total
+        assert len(bases) == len(canonical)
+        designs = {dz.from_base_block(G, base, H) for base in bases}
+        assert designs == {dz.from_base_block(G, base, H) for base in canonical}
+        leaves.append(len(bases))
+    expected = {("sym4", 1): [1, 0, 0], ("sym4", 2): [2, 1], ("psl33", 3): [2, 0],
+                ("psl33", 12): [176, 8], ("pgl33", 6): [0, 0, 1, 0, 0]}
+    assert leaves == expected.get((group, lam), [0] * len(leaves))
+
+
 @pytest.mark.parametrize("lam", [2, 3, 4, 6])
 def test_transversal_orbit_is_the_full_orbit(psl33, lam):
     # the orbit read from one element per right coset of H is the orbit over
-    # all of G: for each canonical filter survivor of every class H, as `run`
-    # sees them (two at lambda = 3, none at 2, 4 and 6), and for the first
-    # candidate of each chunk, as every candidate is H-invariant
+    # all of G: for each base block `_base_blocks` returns for every class H,
+    # as `run` sees them (two at lambda = 3, none at 2, 4 and 6), for each
+    # canonical survivor of the oracle, and for the first orbit union of each
+    # of the oracle's chunks, as every orbit union is H-invariant
     job = sr.SearchJob(psl33, 12, lam)
     labels, sizes = pg.pair_orbit_table(psl33)
-    survivors = 0
+    leaves = 0
     for H in pg.subgroups_of_order(psl33, job.stabilizer_order):
-        n_rows = pg.normalizer(H).images_array()
-        for chunk in sr._candidate_chunks(H, job.k)[1]:
-            keep = sr._proportionality_filter(chunk, labels, sizes, job.lam, job.b)
-            canonical = [b for b in chunk[keep] if np.array_equal(pg.set_orbit(n_rows, b)[0], b)]
-            survivors += len(canonical)
-            for base in [chunk[0], *canonical]:
-                assert dz.from_base_block(psl33, base, H) == dz.from_base_block(psl33, base)
-    assert survivors == (2 if lam == 3 else 0)
+        _, bases = sr._base_blocks(H, job.k, labels, sizes)
+        _, _, canonical = oracle_bases(H, job.k, job.lam)
+        leaves += len(bases)
+        firsts = [chunk[0] for chunk in orbit_union_chunks(H, job.k)[1]]
+        for base in [*firsts, *canonical, *bases]:
+            assert dz.from_base_block(psl33, base, H) == dz.from_base_block(psl33, base)
+    assert leaves == (2 if lam == 3 else 0)
 
 
 def test_transversal_orbit_of_a_larger_block_stabilizer(psl33):
@@ -202,10 +232,12 @@ def test_lambda_1_finds_the_affine_plane_and_nothing_on_the_shipped_groups(psl33
     assert res.records[0].flag_transitive
     # full_sweep skips lambda = 1 for scope, not because it is empty: on the
     # shipped groups the forced stabilizer orders 5616/156 = 36 and
-    # 11232/156 = 72 have no subgroups, so nothing is tested
-    for H in (psl33, pgl33):
-        res = sr.run(sr.SearchJob(H, 12, 1))
+    # 11232/156 = 72 have 4 and 3 subgroup classes, and no orbit union of
+    # any of them has 12 points, so nothing is tested
+    for G, n_classes in ((psl33, 4), (pgl33, 3)):
+        res = sr.run(sr.SearchJob(G, 12, 1))
         assert (res.candidates_tested, res.distinct_block_sets, res.note) == (0, 0, None)
+        assert len(pg.subgroups_of_order(G, G.order // 156)) == n_classes
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +307,7 @@ def test_candidates_invariant_under_subgroup_conjugation(psl33):
     subs = pg.subgroups_of_order(psl33, 18)
     mixed = next(s for s in subs if any(len(o) == 6 for o in pg.orbits(s)))
     g = rng.randrange(psl33.order)
-    T = psl33.mul_table()
-    inv = psl33.inverse_indices()
-    conj = tuple(sorted(int(T[int(T[inv[g], x]), g]) for x in mixed.indices))
+    conj = tuple(sorted(psl33.conj(np.array(mixed.indices), g).tolist()))
     conj_sub = pg.Subgroup(psl33, conj)
     row = psl33.images_array()[g]
     cands = _candidates(mixed, 12)
