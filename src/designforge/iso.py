@@ -28,21 +28,20 @@ knows G, and G's symmetry shortens three computations.  Its block
 histograms come from block 0's row of meets, which every other row
 permutes.  Its pair labels are G's orbits on point pairs, on which the
 signatures are constant, so one pair per orbit is hashed, where a design
-without G hashes every pair.  And refinement works on orbit
-representatives: the colouring at each backtracking depth is constant on
-the orbits of the pointwise stabilizer in G of the points individualized so
-far, so `_refine` computes each colour for one point and one block per
-orbit (one block and G's point-orbit representatives at depth 0) and copies
-it to the rest of the orbit.  For the lambda = 3 designs of PSL(3,3) on 144
-points that is 1 point and 1 block at depth 0, 8 and 16 at depth 1, and 52
-and 160 at depth 2, of 144 and 468.  Such a design builds `meet_index` only
-where backtracking reaches a trivial stabilizer.  Every other design, and
-every design that `are_isomorphic`, `fingerprint` or the `designforge iso`
-command sees, takes the b x b path: the histograms count the whole
-intersection matrix, every point pair is its own label, and every point and
-block is its own representative.  Sums of the same uint64 terms do not
-depend on their order, so both paths give the same values, colours and
-bijections bit for bit.
+without G hashes every pair.  And the refinement at the root, before any
+point is individualized, works on orbit representatives: both colourings
+are constant on G's orbits, so `_refine` computes each colour for one
+block and for one point per point orbit of G, and copies it to the rest of
+the orbit (for the lambda = 3 designs of PSL(3,3) on 144 points, 1 point
+and 1 block of 144 and 468).  Below the root every point and block is its
+own representative, so such a design builds `meet_index` only if it
+reaches backtracking, which search output does not (see Reuse below).
+Every other design, and every design that `are_isomorphic`, `fingerprint`
+or the `designforge iso` command sees, takes the b x b path: the
+histograms count the whole intersection matrix, every point pair is its
+own label, and every point and block is its own representative.  Sums of
+the same uint64 terms do not depend on their order, so both paths give the
+same values, colours and bijections bit for bit.
 
 `iso_classes` works in tiers and reuses what it learns:
 
@@ -181,15 +180,11 @@ class _Precomp:
     """Every per-design invariant and refinement index, each computed on
     first use and kept until the `_Precomp` is dropped."""
 
-    def __init__(
-        self, D: Design, group: GroupTable | None = None, block_of: np.ndarray | None = None
-    ):
+    def __init__(self, D: Design, group: GroupTable | None = None):
         self.design = D
-        # a group of which D is exactly one block orbit, and `block_map` of
-        # them, which shows it (`iso_classes` computes it before passing
-        # both); or None.  The colours at depth 0 need the group alone
+        # a group of which D is exactly one block orbit (`iso_classes` checks
+        # it by `block_map` before passing it), or None
         self.group = group
-        self.block_of = block_of
 
     @cached_property
     def meet(self) -> np.ndarray:
@@ -218,42 +213,21 @@ class _Precomp:
         index[pts[order], np.arange(len(pts)) - starts[pts[order]]] = order // D.k
         return index
 
-    def orbits(self, fixed: tuple[int, ...]) -> tuple[_Reps, _Reps]:
-        """The orbits on points and on blocks of H, the pointwise stabilizer
-        of `fixed` in the group, each as (representatives, the position in
-        them of each point's or block's representative).  Every point or
-        block is its own representative (`_OWN`) with no group, or where H
-        fixes every point or every block.
+    @cached_property
+    def orbits(self) -> tuple[_Reps, _Reps]:
+        """The group's orbits on points and on blocks, each as
+        (representatives, the position in them of each point's or block's
+        representative), or `_OWN` twice with no group.
 
-        H fixes every colouring that `_refine` reaches from colours it fixes,
-        so one representative per orbit carries its orbit's colour.  A point
-        orbit is named by its least point (the rows of H hold every element,
-        so a column's minimum is the least point of its orbit).  Block j is
-        g(B0) for the element g = `_carriers[j]`, and h(B_j) is (g then h)(B0)
-        = `block_of[g*h]`, so one product per block and element of H
-        (`GroupTable.mul`) names each block orbit by its least block.
+        The root colours are constant on these orbits, so `_refine` computes
+        them for one representative per orbit.  A point orbit is named by its
+        least point (the rows hold every element, so a column's minimum is
+        the least point of its orbit), and the blocks are one orbit.
         """
         if self.group is None:
             return _OWN, _OWN
-        if not fixed:  # D is one block orbit of G itself
-            return _reps(self._least_points), _reps(np.zeros(self.design.b, dtype=np.intp))
-        rows = self.group.images_array()
-        fixed_arr = np.array(fixed)
-        H = np.flatnonzero((rows[:, fixed_arr] == fixed_arr).all(axis=1))
-        least_blocks = self.block_of[self.group.mul(self._carriers[:, None], H)].min(axis=1)
-        return _reps(rows[H].min(axis=0)), _reps(least_blocks)
-
-    @cached_property
-    def _least_points(self) -> np.ndarray:
-        """The least point of each point's G-orbit."""
-        return self.group.images_array().min(axis=0)
-
-    @cached_property
-    def _carriers(self) -> np.ndarray:
-        """For each block B_j, one element g of the group with g(B0) = B_j."""
-        carriers = np.empty(self.design.b, dtype=np.intp)
-        carriers[self.block_of] = np.arange(self.group.order)
-        return carriers
+        least = self.group.images_array().min(axis=0)
+        return _reps(least), _reps(np.zeros(self.design.b, dtype=np.intp))
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -352,7 +326,7 @@ def _histogram(values: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 
 def _refine(
-    pre: _Precomp, pc: np.ndarray, bc: np.ndarray, fixed: tuple[int, ...] = ()
+    pre: _Precomp, pc: np.ndarray, bc: np.ndarray, depth: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine point/block colors to a stable partition.
 
@@ -369,15 +343,14 @@ def _refine(
     uint64 sums wrap, so they are exact modulo 2^64 in any order: any method
     that adds the same terms gives the same colors, bit for bit.
 
-    `fixed` lists the points individualized so far.  Both colorings are
-    constant on the orbits of `pre.orbits(fixed)`, and refinement keeps
-    that (it commutes with every automorphism of the design that keeps the
-    colours), so each term is computed for one representative per orbit and
-    copied to the rest of it.  With no group every point and block is its
-    own representative, and the index rows are the whole of `meet_index`.
-    With a group, the rows are those of the block representatives alone
-    (one at depth 0), taken from `pre.meet`, until the stabilizer is
-    trivial.
+    `depth` counts the points individualized so far.  At the root (depth
+    0) both colorings are constant on the orbits of `pre.orbits`, and
+    refinement keeps that (it commutes with every automorphism of the
+    design that keeps the colours), so each term is computed for one
+    representative per orbit and copied to the rest of it, and the index
+    rows are the one block representative's, taken from `pre.meet`.  Below
+    the root, and with no group, every point and block is its own
+    representative, and the index rows are the whole of `meet_index`.
 
     The loop stops after the first round that does not raise the total number
     of point and block classes.  That total is at most v + b, so the loop ends.
@@ -386,7 +359,7 @@ def _refine(
     round refines the last, so the stop is the first round that splits nothing.
     """
     D = pre.design
-    (p_reps, p_of), (b_reps, b_of) = pre.orbits(fixed)
+    (p_reps, p_of), (b_reps, b_of) = pre.orbits if depth == 0 else (_OWN, _OWN)
     index = pre.meet_index if isinstance(b_reps, slice) else _meet_index(pre.meet[b_reps], D.k)
     arr = D.array[b_reps]
     through = pre.point_blocks[p_reps]
@@ -442,13 +415,12 @@ def _search(
     bc1: np.ndarray,
     pc2: np.ndarray,
     bc2: np.ndarray,
-    fixed1: tuple[int, ...] = (),
-    fixed2: tuple[int, ...] = (),
+    depth: int = 0,
 ) -> tuple[int, ...] | None:
-    """Backtrack from the colorings, where fixed1 and fixed2 list the points
-    individualized so far on each side, in order."""
-    pc1, bc1 = _refine(pre1, pc1, bc1, fixed1)
-    pc2, bc2 = _refine(pre2, pc2, bc2, fixed2)
+    """Backtrack from the colorings, with `depth` points individualized so
+    far on each side."""
+    pc1, bc1 = _refine(pre1, pc1, bc1, depth)
+    pc2, bc2 = _refine(pre2, pc2, bc2, depth)
     if _histogram(pc1) != _histogram(pc2):
         return None
     if _histogram(bc1) != _histogram(bc2):
@@ -461,14 +433,14 @@ def _search(
     sel = np.flatnonzero(nonsingle)
     target = sel[np.lexsort((vals[sel], counts[sel]))[0]]
     color = vals[target]
-    fresh = _mix(np.array([color ^ _U64(len(fixed1) + 0xABCD)], dtype=_U64))[0]
+    fresh = _mix(np.array([color ^ _U64(depth + 0xABCD)], dtype=_U64))[0]
     p1 = int(np.flatnonzero(pc1 == color)[0])
     for p2 in np.flatnonzero(pc2 == color).tolist():
         npc1 = pc1.copy()
         npc1[p1] = fresh
         npc2 = pc2.copy()
         npc2[p2] = fresh
-        found = _search(pre1, pre2, npc1, bc1, npc2, bc2, fixed1 + (p1,), fixed2 + (p2,))
+        found = _search(pre1, pre2, npc1, bc1, npc2, bc2, depth + 1)
         if found is not None:
             return found
     return None
@@ -509,20 +481,18 @@ def iso_classes(designs: list[Design], group: GroupTable | None = None) -> list[
     design that is exactly the G-orbit of its first block
     (`permgroup.block_map`, run here once per design that is compared in
     the tiers) reads its block histograms off block 0 and its pair
-    signatures off one pair per G-orbit of pairs, and refines on
-    stabilizer-orbit representatives; backtracking on it reads products of
-    elements of G (`GroupTable.mul`), whose table `search.run` has built.
-    Any other design takes the b x b path, and the partition is the same
-    with or without the group.
+    signatures off one pair per G-orbit of pairs, and refines at the root
+    on G-orbit representatives.  Any other design takes the b x b path, and
+    the partition is the same with or without the group.
     """
-    known: dict[int, np.ndarray | None] = {}  # each design's `block_map`, checked once
+    one_orbit: dict[int, bool] = {}  # whether design i is one G-orbit, checked once
 
     def precomp(i: int) -> _Precomp:
         D = designs[i]
-        if i not in known:
-            one_orbit = group is not None and group.degree == D.v
-            known[i] = block_map(group.images_array(), D.array) if one_orbit else None
-        return _Precomp(D) if known[i] is None else _Precomp(D, group, known[i])
+        if i not in one_orbit:
+            same_degree = group is not None and group.degree == D.v
+            one_orbit[i] = same_degree and block_map(group.images_array(), D.array) is not None
+        return _Precomp(D, group if one_orbit[i] else None)
 
     label: list[int] = []  # label[i]: the first design of design i's class
     visited: dict[Design, int] = {}

@@ -498,10 +498,10 @@ def orbits(H: Subgroup | GroupTable) -> list[tuple[int, ...]]:
     # the rows hold every element, so column p's minimum is the least point
     # of p's orbit
     least = H.images_array().min(axis=0)
-    by_orbit = np.argsort(least, kind="stable")
+    by_orbit = np.argsort(least, kind="stable").tolist()
     sizes = np.bincount(least)
-    sizes = sizes[sizes > 0]
-    out = [tuple(orb.tolist()) for orb in np.split(by_orbit, np.cumsum(sizes)[:-1])]
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    out = [tuple(by_orbit[start:end]) for start, end in zip([0] + ends, ends)]
     out.sort(key=lambda orb: (len(orb), orb[0]))
     return out
 

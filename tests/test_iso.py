@@ -487,13 +487,22 @@ def test_iso_classes_group_falls_back_off_one_orbit(psl33, pgl33, monkeypatch):
 
 def _backtrack(monkeypatch, pre1, pre2):
     """`iso._are_isomorphic(pre1, pre2)`, and every colouring `_refine`
-    returned on the way: (points individualized, point colours, block colours)."""
+    returned on the way: (depth, point colours, block colours, the shapes of
+    the block and point index rows its rounds gathered through `np.take`)."""
     seen = []
-    real = iso._refine
+    real, real_take = iso._refine, np.take
 
-    def recorded(pre, pc, bc, fixed=()):
-        out = real(pre, pc, bc, fixed)
-        seen.append((fixed, *out))
+    def recorded(pre, pc, bc, depth=0):
+        shapes = set()
+
+        def take(a, indices, **kwargs):
+            shapes.add(indices.shape)
+            return real_take(a, indices, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "take", take)
+            out = real(pre, pc, bc, depth)
+        seen.append((depth, *out, shapes))
         return out
 
     with monkeypatch.context() as m:
@@ -506,19 +515,20 @@ def _block_map(G, D):
 
 
 def _grouped(D, G):
-    return iso._Precomp(D, G, _block_map(G, D))
+    assert _block_map(G, D) is not None  # the one-orbit check of iso_classes
+    return iso._Precomp(D, G)
 
 
 def _assert_same_refinements(got, want):
-    assert [len(fixed) for fixed, _, _ in got] == [len(fixed) for fixed, _, _ in want]
-    for (_, pc, bc), (_, want_pc, want_bc) in zip(got, want):
+    assert [depth for depth, *_ in got] == [depth for depth, *_ in want]
+    for (_, pc, bc, _), (_, want_pc, want_bc, _) in zip(got, want):
         assert np.array_equal(pc, want_pc) and np.array_equal(bc, want_bc)
 
 
 def test_group_path_refines_as_the_group_less_path(psl33, monkeypatch):
-    # the two lambda = 3 block sets: refining on one representative per
-    # stabilizer orbit gives the group-less colourings at every depth, bit
-    # for bit, and so the same bijection
+    # the two lambda = 3 block sets: refining at the root on one
+    # representative per G-orbit gives the group-less colourings at every
+    # depth, bit for bit, and so the same bijection
     designs = [
         dz.from_base_block(psl33, base) for base in (BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA3_TWIN)
     ]
@@ -527,14 +537,17 @@ def test_group_path_refines_as_the_group_less_path(psl33, monkeypatch):
     cert, got = _backtrack(monkeypatch, *grouped)
     assert cert == want_cert and cert.isomorphic
     _assert_same_refinements(got, want)
-    # representatives per depth on the first design: G, G_p (order 39), G_pq
-    # (order 3), then the trivial group, where every point and block is its own
-    reps = {
-        len(fixed): tuple(n if isinstance(r, slice) else len(r)
-                          for n, (r, _) in zip((144, 468), grouped[0].orbits(fixed)))
-        for fixed, _, _ in got[::2]  # the first design's
-    }
-    assert reps == {0: (1, 1), 1: (8, 16), 2: (52, 160), 3: (144, 468)}
+    # the root representatives: one point and one block
+    root = [n if isinstance(r, slice) else len(r)
+            for n, (r, _) in zip((144, 468), grouped[0].orbits)]
+    assert root == [1, 1]
+    # index rows gathered per depth on the first design, (block rows, b) and
+    # (point rows, r = 39): one of each at the root, every block and point
+    # below it, as on the group-less path at every depth
+    gathered = {depth: shapes for depth, _, _, shapes in got[::2]}
+    every = {(468, 468), (144, 39)}
+    assert gathered == {0: {(1, 468), (1, 39)}, 1: every, 2: every, 3: every}
+    assert all(shapes == every for _, _, _, shapes in want)
 
 
 def test_group_path_on_a_point_intransitive_group(psl33, monkeypatch):
@@ -550,7 +563,7 @@ def test_group_path_on_a_point_intransitive_group(psl33, monkeypatch):
     D = dz.from_base_block(H, BASE_BLOCK_LAMBDA3)
     E, _ = _random_relabel(D, random.Random(15))
     assert D.b == 39 and _block_map(H, D) is not None and _block_map(H, E) is None
-    assert len(iso._Precomp(D, H).orbits(())[0][0]) == 8
+    assert len(iso._Precomp(D, H).orbits[0][0]) == 8  # the root point orbits
     for other in (_grouped(D, H), iso._Precomp(E)):
         want_cert, want = _backtrack(monkeypatch, iso._Precomp(D), iso._Precomp(other.design))
         cert, got = _backtrack(monkeypatch, _grouped(D, H), other)
