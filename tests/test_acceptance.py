@@ -143,9 +143,9 @@ def test_iso_orbit_path_matches_the_bxb_path(psl33, pgl33, psl_sweep):
     # and the pair signatures off one pair per pair orbit, and refines at
     # the root on one block and one point per point orbit; the histograms,
     # the pair signatures, the stable colours and the fingerprint equal the
-    # b x b path's bit for bit.  The b x b path takes about 30 ms a lambda = 12 design and its
-    # colours 30 ms more, so every third representative is compared, and
-    # every fifteenth down to the colours
+    # b x b path's bit for bit.  The b x b path takes about 30 ms a
+    # lambda = 12 design and its colours 30 ms more, so every third
+    # representative is compared, and every fifteenth down to the colours
     lam3 = [
         dz.from_base_block(psl33, base) for base in (BASE_BLOCK_LAMBDA3, BASE_BLOCK_LAMBDA3_TWIN)
     ]
